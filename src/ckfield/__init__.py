@@ -15,9 +15,10 @@ from .ckf import (CanonicalForm, CkfParams, classify, eval_ckf, field_cr,
                   is_simple_rotation, jacobian_ckf, reconstruct,
                   simple_rotation_residual)
 from .errors import (BlowUp, CkfieldError, ConstructionFailed,
-                     FrameUndefined, GridTooLarge, NoConvergence,
-                     NotAdmissible, NotClosed, NotParallel,
-                     NotSimpleRotation, SupportViolation, UnknownIdentity,
+                     FrameUndefined, FreeZeroMode, GridTooLarge,
+                     IntegrationFailed, NoConvergence, NotAdmissible,
+                     NotClosed, NotParallel, NotSimpleRotation,
+                     SectorMismatch, SupportViolation, UnknownIdentity,
                      ZeroField)
 from .flows import (CurveTrace, FixedPointCensus, LoopIntegrals,
                     cr_orbit_seed, fixed_point_census, integrate_curve,

@@ -462,7 +462,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON file with a full RunConfig; "
                                          "explicit flags override it")
         sp.add_argument("--outdir")
-        sp.add_argument("--threads", type=int)
         sp.add_argument("--seed", type=int)
         for f in flags:
             sp.add_argument(f)
@@ -492,7 +491,6 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if k == "config" or v is None:
             continue
         cfg[k] = v
-    cfg.setdefault("threads", os.cpu_count() or 1)
     cfg.setdefault("seed", 0)
     return cfg
 

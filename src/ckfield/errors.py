@@ -49,5 +49,38 @@ class NoConvergence(CkfieldError):
     """Iterative eigensolver did not reach the requested tolerance."""
 
 
+class FreeZeroMode(CkfieldError):
+    """The A = 0 grid operator has an exact zero mode (odd n).
+
+    An odd-dimensional antisymmetric difference matrix is singular, so the
+    free floor sigma_free is 0 and the free inverse does not exist.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        super().__init__(
+            f"n = {n} is odd: the free difference matrix has a zero "
+            f"eigenvalue, so sigma_free = 0 and (M0^2)^-1 is undefined; "
+            f"use an even n")
+
+
+class IntegrationFailed(CkfieldError):
+    """The ODE integrator stopped before reaching the end of its interval."""
+
+    def __init__(self, status: int, message: str):
+        self.status = status
+        super().__init__(f"integrator failed (status {status}): {message}")
+
+
+class SectorMismatch(CkfieldError):
+    """The two spin sectors' monodromies disagree beyond tolerance."""
+
+    def __init__(self, mismatch: float, tol: float):
+        self.mismatch = mismatch
+        self.tol = tol
+        super().__init__(f"sector monodromies disagree: |m+ - m-| = "
+                         f"{mismatch:.3e} > SECTOR_TOL = {tol:.1e}")
+
+
 class GridTooLarge(CkfieldError):
     """Requested grid exceeds the configured memory cap."""

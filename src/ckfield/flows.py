@@ -25,8 +25,8 @@ from scipy.integrate import solve_ivp
 
 from .ckf import (CkfParams, EPS_FRAME, ckf_components, classify,
                   curl_components, div_ckf, eval_ckf, field_cr, field_ro)
-from .errors import (BlowUp, FrameUndefined, NotAdmissible, NotClosed,
-                     NotSimpleRotation, ZeroField)
+from .errors import (BlowUp, FrameUndefined, IntegrationFailed,
+                     NotAdmissible, NotClosed, NotSimpleRotation, ZeroField)
 from .jets import partial, seed, value
 from .potentials import PotentialSpec, eval_potential
 from .quadrature import gl2_axis
@@ -192,7 +192,7 @@ def integrate_curve(p: CkfParams, x0, t_max: Optional[float] = None,
         raise BlowUp(f"|curve| reached {ESCAPE_RADIUS:g} at "
                      f"t = {sol.t_events[1][0]:.6g}{extra}")
     if not sol.success and sol.status != 1:
-        raise RuntimeError(f"integrator failed: {sol.message}")
+        raise IntegrationFailed(sol.status, sol.message)
 
     period = None
     closure = None

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .ckf import (CkfParams, EPS_FRAME, ckf_components, eval_ckf)
-from .errors import FrameUndefined, NotClosed
+from .errors import FrameUndefined, NotClosed, SectorMismatch
 from .flows import CurveTrace, eval_ckf_curl
 from .jets import jconj, jsqrt, seed, value, vdot
 from .potentials import PotentialSpec, eval_potential
@@ -180,7 +180,7 @@ def admissible_spectrum(p: CkfParams, spec: Optional[PotentialSpec],
     mono_m = complex(np.exp(-1j * (trace.weights @ cm)))
     mismatch = abs(mono_p - mono_m)
     if mismatch > SECTOR_TOL:
-        raise RuntimeError(f"sector monodromies disagree: {mismatch:.3e}")
+        raise SectorMismatch(mismatch, SECTOR_TOL)
     vs_scalar = float(max(np.abs(cp - vals).max(), np.abs(cm - vals).max()))
 
     return HolonomyResult(curve=trace, phase_integral=phase, offset=offset,

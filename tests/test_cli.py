@@ -52,6 +52,7 @@ def test_config_file_merge_and_flag_override(tmp_path):
     man = _read_json(tmp_path / "verify-identities" / "manifest.json")
     assert man["ckf"] == "ro"
     assert man["points"] == 30
+    assert "threads" not in man
 
     assert main(["verify-identities", "--config", str(cfg),
                  "--points", "10"]) == 0
@@ -170,6 +171,13 @@ def test_spectrum_sweep_cmd(tmp_path):
     assert {r[-1] for r in rows} == {"True"}
     man = _read_json(tmp_path / "spectrum-sweep" / "manifest.json")
     assert man["sigma_floor"] == pytest.approx(0.5 * man["sigma_free"])
+
+
+def test_spectrum_sweep_refuses_odd_grid(tmp_path, capsys):
+    # odd n has sigma_free = 0, so a floor check would pass vacuously
+    assert run("spectrum-sweep", "--potential", "axial", "--grid", "9,3",
+               "--ts", "0", outdir=tmp_path) == 2
+    assert "FreeZeroMode" in capsys.readouterr().err
 
 
 def test_control_losyau_cmd(tmp_path):

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from ckfield.ckf import CkfParams, eval_ckf, field_cr, field_iso, field_ro, field_ud
-from ckfield.errors import BlowUp, FrameUndefined, NotAdmissible, NotClosed
+from ckfield import flows
+from ckfield.errors import (BlowUp, FrameUndefined, IntegrationFailed,
+                            NotAdmissible, NotClosed)
 from ckfield.flows import (FixedPoint, cr_orbit_closed_form, cr_orbit_seed,
                            eval_ckf_curl, fixed_point_census, integrate_curve,
                            loop_integrals, planarity_and_curvature)
@@ -123,6 +125,21 @@ def test_inadmissible_fields_are_rejected():
         integrate_curve(field_iso(), [1.0, 0.0, 0.0])
     with pytest.raises(NotAdmissible):
         integrate_curve(_special_nu(-0.5), [1.0, 0.0, 0.0])
+
+
+def test_integrator_failure_is_typed(monkeypatch):
+    solve = flows.solve_ivp
+
+    def failing(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        sol.success, sol.status, sol.message = False, -1, "forced failure"
+        return sol
+
+    monkeypatch.setattr(flows, "solve_ivp", failing)
+    with pytest.raises(IntegrationFailed) as exc:
+        integrate_curve(field_ro(), [0.9, 0.0, 0.2])
+    assert exc.value.status == -1
+    assert "forced failure" in str(exc.value)
 
 
 def test_seed_at_zero_of_field_is_rejected():

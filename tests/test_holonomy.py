@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from ckfield.ckf import eval_ckf, field_cr, field_ro, field_ud
-from ckfield.errors import FrameUndefined, NotClosed
+from ckfield import holonomy
+from ckfield.cli import main
+from ckfield.errors import FrameUndefined, NotClosed, SectorMismatch
 from ckfield.flows import cr_orbit_seed, integrate_curve
 from ckfield.holonomy import (admissible_spectrum, frame_spinor,
                               phase_integrand, transport)
@@ -121,3 +123,15 @@ def test_frame_spinor_needs_nondegenerate_frame():
         frame_spinor(field_ro(), [0.0, 0.0, 1.0])   # w = 0 on the axis
     with pytest.raises(FrameUndefined):
         frame_spinor(field_ud(), [1.0, 0.0, 0.0])   # Y = 0 everywhere
+
+
+def test_sector_mismatch_is_typed_and_carries_margin(monkeypatch, tmp_path):
+    p, spec, trace = _ro_setup()
+    monkeypatch.setattr(holonomy, "SECTOR_TOL", -1.0)
+    with pytest.raises(SectorMismatch) as exc:
+        admissible_spectrum(p, spec, trace)
+    assert exc.value.tol == -1.0
+    assert 0.0 <= exc.value.mismatch < 1.0e-10
+    # a CkfieldError: the CLI exits 2 instead of printing a traceback
+    assert main(["holonomy", "--ckf", "ro", "--potential", "axial",
+                 "--orbit-seed", "0.9,0,0.2", "--outdir", str(tmp_path)]) == 2
