@@ -222,7 +222,6 @@ def _free_inverse(gs: GridSpec):
     """
     lam, V = _free_spectrum(gs)
     n = gs.n
-    VT = np.ascontiguousarray(V.T)
     scale = 1.0 / (lam[:, None, None, None] + lam[None, :, None, None]
                    + lam[None, None, :, None])
 
@@ -234,7 +233,7 @@ def _free_inverse(gs: GridSpec):
 
     def apply(B):
         X = np.ascontiguousarray(B, dtype=complex)
-        Y = axes(X.view(np.float64).reshape(n, n, n, -1), VT)
+        Y = axes(X.view(np.float64).reshape(n, n, n, -1), V.T)
         Y *= scale
         return axes(Y, V).reshape(-1).view(complex).reshape(B.shape)
 

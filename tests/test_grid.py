@@ -18,6 +18,10 @@ from ckfield.potentials import (axial, gauge_pair, gauged, hopfbase, lossyau,
 from ckfield.spinors import losyau_mode
 
 AXIAL = axial(smoothbump(0.2, 4.0, 0.7))
+# the criterion-9 axial family on the benchmark's n = 10 grid
+SWEEP_GS = GridSpec(L=6.0, n=10)
+SWEEP_SPEC = axial(smoothbump(0.5, 9.0, 0.25))
+SWEEP_TS = np.arange(0.0, 21.0, 2.0)
 
 
 def test_grid_spec_geometry_and_validation():
@@ -124,7 +128,7 @@ def test_lobpcg_uncertified_raises():
 @pytest.mark.parametrize("n,spec", [
     (10, lossyau()),
     (12, lossyau()),
-    (10, scaled(axial(smoothbump(0.5, 9.0, 0.25)), 20.0)),
+    (10, scaled(SWEEP_SPEC, 20.0)),
 ])
 def test_cold_lobpcg_matches_dense(n, spec):
     # dims 2000 and 3456: above the dense cut-over, still cheap to check
@@ -197,12 +201,6 @@ def test_scaling_sweep_dense_path():
     np.testing.assert_array_equal(res.residuals, [0.0, 0.0])
 
 
-# the criterion-9 axial family on the benchmark's n = 10 grid
-SWEEP_GS = GridSpec(L=6.0, n=10)
-SWEEP_SPEC = axial(smoothbump(0.5, 9.0, 0.25))
-SWEEP_TS = np.arange(0.0, 21.0, 2.0)
-
-
 @pytest.fixture(scope="module")
 def warm_sweep():
     return scaling_sweep(SWEEP_SPEC, SWEEP_TS, SWEEP_GS)
@@ -220,7 +218,7 @@ def test_scaling_sweep_reports_solver_work(warm_sweep):
     "known fault: the smallest level crosses in from outside the warm "
     "block, so at t = 20 the sweep is ~3.3e-3 relative above the minimum"))
 def test_warm_sweep_matches_cold_solves(warm_sweep):
-    # cold solves are checked against dense eigensolves above
+    # the cold solve at t = 20 is checked against a dense eigensolve above
     cold = [sigma_min(assemble(SWEEP_GS, scaled(SWEEP_SPEC, float(t))))
             for t in SWEEP_TS]
     np.testing.assert_allclose(warm_sweep.sigma_mins, cold, rtol=1.0e-9)
