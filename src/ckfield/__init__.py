@@ -35,7 +35,7 @@ from .potentials import (PotentialSpec, Profile, axial, construct_losyau,
                          gauged, hopfbase, lossyau, modulated,
                          parallelism_residual, parent_field, scaled,
                          spec_from_dict, spec_to_dict)
-from .quadrature import QuadBox, box_axes, gl2_axis
+from .quadrature import QuadBox, box_axes, gl2_axis, periodic_trapezoid
 from .spinops import (CutoffPair, apply_D, apply_Q, apply_S, chi0,
                       chi0_prime, chi0_prime_max, chi_R,
                       commutator_residuals, cutoff_bound_check, eta_eps,

@@ -211,8 +211,6 @@ def _cmd_field_lines(cfg) -> int:
         kw["t_max"] = float(cfg["t_max"])
     if cfg.get("rk_tol") is not None:
         kw["rk_tol"] = float(cfg["rk_tol"])
-    if cfg.get("n_quad") is not None:
-        kw["n_quad"] = int(cfg["n_quad"])
     summary = {"seed_point": x0.tolist()}
     code = 0
     try:
@@ -225,7 +223,9 @@ def _cmd_field_lines(cfg) -> int:
             "closed": tr.closed, "period": tr.period,
             "closure_error": tr.closure_error,
             "plane_normal": _jsonable(tr.plane_normal),
-            "analytic": tr.analytic, "samples": int(tr.ts.size)})
+            "analytic": tr.analytic, "samples": int(tr.ts.size),
+            "nfev": tr.nfev, "steps": tr.steps,
+            "speed_ratio": tr.speed_ratio})
         if tr.closed:
             dev, kres = planarity_and_curvature(tr, p)
             summary["max_plane_deviation"] = dev
@@ -470,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("classify", "--ckf")
     add("verify-identities", "--ckf", "--points")
     add("field-lines", "--ckf", "--seed-point", "--t-max", "--rk-tol",
-        "--n-quad", "--max-rows")
+        "--max-rows")
     add("loop-integrals", "--ckf", "--seed-point", "--potential")
     add("verify-operators", "--ckf", "--potential", "--spinor", "--points",
         "--quadrature", "--box")

@@ -107,6 +107,9 @@ def test_field_lines_closed_orbit(tmp_path):
     assert summ["closed"] is True
     assert summ["period"] == pytest.approx(2.0 * np.pi, abs=1.0e-8)
     assert summ["max_plane_deviation"] < 1.0e-9
+    # the solver's work and the speed ratio behind the node count
+    assert summ["nfev"] > 0 and summ["steps"] > 0
+    assert summ["speed_ratio"] == pytest.approx(1.0, abs=1.0e-9)
     with open(tmp_path / "field-lines" / "curve.jsonl") as fh:
         pts = [json.loads(line) for line in fh]
     assert len(pts) >= 2

@@ -9,7 +9,8 @@ rather than against the integrator itself.
 import numpy as np
 import pytest
 
-from ckfield.ckf import CkfParams, eval_ckf, field_cr, field_iso, field_ro, field_ud
+from ckfield.ckf import (CanonicalForm, CkfParams, eval_ckf, field_cr,
+                         field_iso, field_ro, field_ud, reconstruct)
 from ckfield import flows
 from ckfield.errors import (BlowUp, FrameUndefined, IntegrationFailed,
                             NotAdmissible, NotClosed)
@@ -17,6 +18,7 @@ from ckfield.flows import (FixedPoint, cr_orbit_closed_form, cr_orbit_seed,
                            eval_ckf_curl, fixed_point_census, integrate_curve,
                            loop_integrals, planarity_and_curvature)
 from ckfield.potentials import axial, hopfbase, smoothbump
+from ckfield.quadrature import periodic_trapezoid
 
 
 def _dilation(b0=1.0, x0=(0.2, -0.5, 1.0)):
@@ -58,6 +60,21 @@ def test_trace_weights_integrate_dt_to_period():
     assert len(tr.samples) == tr.ts.size
 
 
+def test_periodic_trapezoid_converges_geometrically():
+    # 1/(1 - 2 rho cos t + rho^2) has poles at distance ln(1/rho) from the
+    # real axis; the rule's error is exactly I * 2 rho^n / (1 - rho^n)
+    rho = 0.9
+    exact = 2.0 * np.pi / (1.0 - rho ** 2)
+    for n, tol in ((64, 2.1 * rho ** 64), (372, 1.0e-13)):
+        ts, wts = periodic_trapezoid(2.0 * np.pi, n)
+        assert ts[0] == 0.0 and ts.size == n
+        np.testing.assert_allclose(wts, 2.0 * np.pi / n, rtol=1.0e-15)
+        approx = wts @ (1.0 / (1.0 - 2.0 * rho * np.cos(ts) + rho ** 2))
+        assert abs(approx - exact) / exact <= tol
+    with pytest.raises(ValueError):
+        periodic_trapezoid(1.0, 0)
+
+
 # ---------------------------------------------------------------------------
 # circular-field orbits
 
@@ -79,6 +96,90 @@ def test_cr_orbit_matches_closed_form():
     assert tag["mu"] == pytest.approx(mu, abs=1.0e-12)
     assert tag["rho"] == pytest.approx(rho, abs=1.0e-12)
     assert tag["theta"] == pytest.approx(theta, abs=1.0e-12)
+
+
+def test_rhs_matches_eval_ckf():
+    # the integrator's component-wise X against the vector closed form
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        p = CkfParams(a=rng.normal(size=3), b0=rng.normal(),
+                      b=rng.normal(size=3), c=rng.normal(size=3))
+        y = rng.normal(size=3)
+        np.testing.assert_allclose(flows._rhs(p)(0.0, y), eval_ckf(p, y),
+                                   rtol=1.0e-14, atol=1.0e-14)
+
+
+def test_cr_orbit_stops_at_first_return(monkeypatch):
+    solve = flows.solve_ivp
+    sols = []
+
+    def spy(*args, **kwargs):
+        sols.append(solve(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(flows, "solve_ivp", spy)
+    mu, rho = 1.0, 0.9
+    tr = integrate_curve(field_cr(mu), cr_orbit_seed(mu, rho))
+    (sol,) = sols
+    assert tr.closed
+    assert sol.t[-1] == pytest.approx(tr.period, rel=1.0e-12)
+    assert tr.nfev == sol.nfev
+    assert tr.steps == sol.t.size - 1 > 0
+    # one period takes ~2.8k right-hand-side calls; seven took ~19.7k
+    assert tr.nfev < 4000
+    # the speed ratio of the rho-orbit is ((1 + rho)/(1 - rho))^2
+    assert tr.speed_ratio == pytest.approx(((1 + rho) / (1 - rho)) ** 2,
+                                           rel=1.0e-3)
+
+
+def test_near_degenerate_orbit_needs_few_nodes():
+    mu, rho, theta = 1.0, 0.95, 0.4
+    p = field_cr(mu)
+    tr = integrate_curve(p, cr_orbit_seed(mu, rho, theta))
+    assert tr.ts.size <= 1024
+    ints = loop_integrals(tr, p, hopfbase(mu))
+    assert abs(ints.int_div) <= 1.0e-10
+    assert abs(ints.int_absY - 4.0 * np.pi) <= 1.0e-10
+    assert abs(ints.int_flux) <= 1.0e-10
+    exact = cr_orbit_closed_form(mu, rho, theta, tr.ts)
+    assert np.abs(tr.xs - exact).max() <= 1.0e-9
+
+
+def _unit(rng):
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("kind,seed", [("Special", s) for s in (11, 12, 13)]
+                         + [("Rotation", s) for s in (21, 22)])
+def test_generic_admissible_orbits(kind, seed):
+    # rotated, translated and scaled copies of the canonical fields: their
+    # orbits are Moebius images of circles, which the node rule relies on
+    rng = np.random.default_rng(seed)
+    axis, center = _unit(rng), rng.uniform(-2.0, 2.0, 3)
+    scale = rng.uniform(0.5, 2.0)
+    perp = np.cross(axis, _unit(rng))
+    perp /= np.linalg.norm(perp)
+    if kind == "Special":
+        nu = rng.uniform(0.2, 2.0)
+        radius = np.sqrt(2.0 * nu)
+        # off the axis and far from the degenerate circle of radius
+        # sqrt(2 nu), where the orbits' speed ratios are ~100
+        x0 = (center + radius * rng.choice([0.1, 10.0]) * perp
+              + 0.2 * radius * rng.normal() * axis)
+        period = 2.0 * np.pi / (scale * radius)
+    else:
+        nu = None
+        x0 = center + rng.uniform(0.3, 2.0) * perp + rng.normal() * axis
+        period = 2.0 * np.pi / scale
+    p = reconstruct(CanonicalForm(kind=kind, x0=center, axis=axis,
+                                  scale=scale, nu=nu, admissible=True))
+    tr = integrate_curve(p, x0)
+    assert tr.closed
+    assert tr.period == pytest.approx(period, rel=1.0e-9)
+    ints = loop_integrals(tr, p)
+    assert abs(ints.int_div) <= 1.0e-9
+    assert abs(ints.int_absY - 4.0 * np.pi) <= 1.0e-9
 
 
 def test_cr_orbit_seed_formula_and_validation():
@@ -106,6 +207,10 @@ def test_translation_curve_never_closes():
     assert not tr.closed
     assert tr.period is None
     assert tr.closure_error is None
+    # open traces are equispaced samples of [0, t_end] with no weights
+    assert tr.weights is None
+    assert tr.ts[0] == 0.0 and tr.ts[-1] == pytest.approx(5.0)
+    np.testing.assert_allclose(np.diff(tr.ts), tr.ts[1], rtol=1.0e-12)
     with pytest.raises(NotClosed):
         loop_integrals(tr, field_ud())
     with pytest.raises(NotClosed):
