@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FrameUndefined, NotSimpleRotation, ZeroField
-from .jets import Jet, jsqrt, value, vcross, vdot, vnorm2
+from .jets import jsqrt, value, vnorm2
 
 EPS_FRAME = 1e-10     # absolute threshold below which frames are undefined
 EPS_CLASSIFY = 1e-9   # relative tolerance for classification decisions

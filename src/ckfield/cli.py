@@ -19,18 +19,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ckf import (CkfParams, classify, eval_ckf, field_cr, field_iso,
-                  field_ro, field_ud, frame_quantities, reconstruct)
-from .errors import BlowUp, CkfieldError, NoConvergence, NotAdmissible
-from .flows import (cr_orbit_seed, fixed_point_census, integrate_curve,
-                    loop_integrals, planarity_and_curvature)
+from .ckf import (CkfParams, classify, field_cr, field_iso, field_ro,
+                  field_ud, frame_quantities, reconstruct)
+from .errors import BlowUp, CkfieldError, NoConvergence
+from .flows import (fixed_point_census, integrate_curve, loop_integrals,
+                    planarity_and_curvature)
 from .grid import (GridSpec, assemble, free_sigma_min, scaling_sweep,
                    sigma_min, zeromode_residual_on_grid)
 from .holonomy import admissible_spectrum, transport
-from .identities import IDENTITY_IDS, run_identity_suite, sample_points
-from .potentials import (PotentialSpec, axial, eval_field, eval_potential,
-                         hopfbase, lossyau, modulated, parent_field,
-                         scaled, smoothbump, spec_from_dict, spec_to_dict)
+from .identities import run_identity_suite, sample_points
+from .potentials import (axial, eval_field, eval_potential, hopfbase,
+                         lossyau, modulated, parent_field, smoothbump,
+                         spec_from_dict)
 from .spinops import commutator_residuals, norm_decomposition_check
 from .spinors import (SpinorField, bump_packet, from_dict as spinor_from_dict,
                       gaussian_packet, losyau_mode)

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .ckf import (CkfParams, EPS_FRAME, ckf_components, classify,
-                  curl_components, div_ckf, eval_ckf, field_cr, field_ro)
+                  curl_components, div_ckf, eval_ckf)
 from .errors import (BlowUp, FrameUndefined, IntegrationFailed,
                      NotAdmissible, NotClosed, NotSimpleRotation, ZeroField)
 from .jets import partial, seed, value

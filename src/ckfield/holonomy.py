@@ -24,13 +24,13 @@ from typing import Optional
 
 import numpy as np
 
-from .ckf import (CkfParams, EPS_FRAME, ckf_components, eval_ckf)
+from .ckf import CkfParams, EPS_FRAME, div_ckf, eval_ckf
 from .errors import FrameUndefined, NotClosed, SectorMismatch
 from .flows import CurveTrace, eval_ckf_curl
-from .jets import jconj, jsqrt, seed, value, vdot
+from .jets import seed, value
 from .potentials import PotentialSpec, eval_potential
-from .spinops import _A_at, _Q_core
-from .spinors import sigma_apply
+from .spinops import _Field, _P_core, _Q_core
+from .spinors import spinor_inner
 
 __all__ = ["HolonomyResult", "phase_integrand", "transport",
            "admissible_spectrum", "frame_spinor"]
@@ -83,7 +83,7 @@ def phase_integrand(p: CkfParams, spec: Optional[PotentialSpec],
     """|Y|/4 - (2i/3) div X - X.A at the trace nodes (complex array)."""
     X, w, Y, absY = _frame_values(p, trace)
     xs = trace.xs
-    div = 3.0 * (p.b0 + p.c @ xs)
+    div = div_ckf(p, xs)
     vals = 0.25 * absY - (2.0 / 3.0) * 1j * div
     if spec is not None:
         A = eval_potential(spec, xs)
@@ -105,20 +105,14 @@ def frame_spinor(p: CkfParams, x):
     """(e_plus, e_minus) at x: e0 with (sigma.N) e0 = e0, |e0|^2 = 2, split
     by the projections P_pm = (I pm S)/2; N is the local plane normal
     Y/|Y|.  Both returned spinors are unit length when X.Y = 0."""
-    x = np.asarray(x, dtype=float).reshape(3)
-    X = eval_ckf(p, x)
-    w = float(np.linalg.norm(X))
-    Y = eval_ckf_curl(p, x)
+    ctx = _Field(p, None, np.asarray(x, dtype=float).reshape(3))
+    Y = np.array(ctx.Y)
     absY = float(np.linalg.norm(Y))
     s = max(1.0, p.scale())
-    if w <= EPS_FRAME * s or absY <= EPS_FRAME * s:
+    if ctx.w <= EPS_FRAME * s or absY <= EPS_FRAME * s:
         raise FrameUndefined("frame spinors need w > 0 and |Y| > 0")
-    N = Y / absY
-    e0 = _e0_from_normal(N)
-    Se0 = [v / w for v in sigma_apply(X, e0)]
-    e_plus = np.array([0.5 * (e0[0] + Se0[0]), 0.5 * (e0[1] + Se0[1])])
-    e_minus = np.array([0.5 * (e0[0] - Se0[0]), 0.5 * (e0[1] - Se0[1])])
-    return e_plus, e_minus
+    e0 = _e0_from_normal(Y / absY)
+    return (np.array(_P_core(ctx, e0, +1)), np.array(_P_core(ctx, e0, -1)))
 
 
 def _e0_from_normal(N):
@@ -141,18 +135,12 @@ def _sector_coefficients(p: CkfParams, spec: Optional[PotentialSpec],
     if trace.plane_normal is None:
         raise FrameUndefined("trace has no plane normal")
     e0 = _e0_from_normal(trace.plane_normal)
-    xc = seed(trace.xs, order=1)
-    X = ckf_components(p, xc)
-    wj = jsqrt(vdot(X, X))
-    invw = 1.0 / wj
-    sX = sigma_apply(X, e0)
+    ctx = _Field(p, spec, seed(trace.xs, order=1))
     out = []
-    for sign in (+1.0, -1.0):
-        E = [0.5 * (e0[0] + sign * invw * sX[0]),
-             0.5 * (e0[1] + sign * invw * sX[1])]
-        QE = _Q_core(p, _A_at(spec, xc), E, xc)
-        num = value(jconj(E[0]) * QE[0] + jconj(E[1]) * QE[1])
-        den = value(jconj(E[0]) * E[0] + jconj(E[1]) * E[1]).real
+    for sign in (+1, -1):
+        E = _P_core(ctx, e0, sign)
+        num = value(spinor_inner(E, _Q_core(ctx, E)))
+        den = value(spinor_inner(E, E)).real
         out.append(np.asarray(num) / np.asarray(den))
     return out[0], out[1]
 

@@ -36,10 +36,10 @@ from typing import Optional
 import numpy as np
 
 from .ckf import CkfParams, eval_ckf, field_ro, field_cr, field_iso
-from .errors import ConstructionFailed, FrameUndefined, NotParallel
+from .errors import ConstructionFailed, FrameUndefined
 from .jets import Jet, seed, value, partial, jexp, jsqrt, jsin, jcos, jreal, jimag
-from .spinors import (SpinorField, losyau_mode, losyau_psi, sigma_apply,
-                      spinor_inner, smooth_bump_scalar)
+from .spinors import (losyau_mode, losyau_psi, sigma_apply, spinor_inner,
+                      smooth_bump_scalar)
 
 __all__ = [
     "Profile", "smoothbump", "gaussian", "polynomial", "constant",

@@ -10,6 +10,12 @@ w = |X|, Y = curl X,
 All derivatives come from forward-mode jets; the commutator identities need
 second derivatives, so their inputs are seeded at order 2 and each operator
 application consumes one order.  Nothing here is ever finite-differenced.
+
+Each operator exists once, as a core on jets.  The cores read one field
+context per seeded point batch (X, w, div X, Y, 1/w and A, evaluated once);
+the public operators, the commutator residuals, the norm decomposition's
+z-slabs and the holonomy sector coefficients all build that context and
+share the cores.
 """
 
 from __future__ import annotations
@@ -20,15 +26,14 @@ from typing import Optional
 
 import numpy as np
 
-from .ckf import (CkfParams, EPS_FRAME, ckf_components, curl_components,
-                  div_ckf, eval_ckf, is_simple_rotation,
-                  simple_rotation_residual)
+from .ckf import (CkfParams, EPS_FRAME, eval_ckf, frame_quantities,
+                  is_simple_rotation, simple_rotation_residual)
 from .errors import (FrameUndefined, NotParallel, NotSimpleRotation,
                      SupportViolation)
-from .jets import jconj, jexp, jsqrt, partial, seed, value, vdot
+from .jets import partial, seed, value, vdot
 from .potentials import PotentialSpec, eval_field, potential_components
 from .quadrature import QuadBox, box_axes
-from .spinors import SpinorField, eval_spinor, sigma_apply, spinor_inner
+from .spinors import SpinorField, eval_spinor, sigma_apply
 
 __all__ = [
     "apply_D", "apply_Q", "apply_S", "commutator_residuals",
@@ -41,62 +46,62 @@ PARALLEL_TOL = 1.0e-8
 
 # -- pointwise cores on jets ------------------------------------------------
 
-def _A_at(spec: Optional[PotentialSpec], xc):
-    return None if spec is None else potential_components(spec, xc)
+class _Field:
+    """X, w = |X|, div X, Y = curl X, 1/w and A on one seeded point batch."""
+
+    __slots__ = ("X", "w", "divX", "Y", "invw", "A")
+
+    def __init__(self, p: CkfParams, spec: Optional[PotentialSpec], xc):
+        # w and 1/w are singular where X vanishes; Q is not, and the S, P and
+        # Dw callers reject such points before they use w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.X, self.w, self.divX, self.Y = frame_quantities(p, xc)
+            self.invw = 1.0 / self.w
+        self.A = None if spec is None else potential_components(spec, xc)
 
 
-def _D_core(Ac, F):
-    # sum_k sigma_k ((-i d_k - A_k) F)
-    T = []
+def _covariant(A, F):
+    # [(-i d_k - A_k) F for k = 1, 2, 3]
+    out = []
     for k in range(3):
         t0 = -1j * partial(F[0], k)
         t1 = -1j * partial(F[1], k)
-        if Ac is not None:
-            t0 = t0 - Ac[k] * F[0]
-            t1 = t1 - Ac[k] * F[1]
-        T.append((t0, t1))
+        if A is not None:
+            t0 = t0 - A[k] * F[0]
+            t1 = t1 - A[k] * F[1]
+        out.append((t0, t1))
+    return out
+
+
+def _D_core(A, F):
+    # sum_k sigma_k ((-i d_k - A_k) F)
+    T = _covariant(A, F)
     return [T[0][1] - 1j * T[1][1] + T[2][0],
             T[0][0] + 1j * T[1][0] - T[2][1]]
 
 
-def _Q_core(p: CkfParams, Ac, F, xc):
-    X = ckf_components(p, xc)
-    Y = curl_components(p, xc)
-    dv = div_ckf(p, xc)
-    q0 = q1 = None
-    for k in range(3):
-        t0 = -1j * partial(F[0], k)
-        t1 = -1j * partial(F[1], k)
-        if Ac is not None:
-            t0 = t0 - Ac[k] * F[0]
-            t1 = t1 - Ac[k] * F[1]
-        q0 = X[k] * t0 if q0 is None else q0 + X[k] * t0
-        q1 = X[k] * t1 if q1 is None else q1 + X[k] * t1
-    sY = sigma_apply(Y, F)
-    return [q0 + 0.25 * sY[0] - (2.0 / 3.0) * 1j * dv * F[0],
-            q1 + 0.25 * sY[1] - (2.0 / 3.0) * 1j * dv * F[1]]
+def _Q_core(ctx: _Field, F):
+    T = _covariant(ctx.A, F)
+    X = ctx.X
+    q0 = X[0] * T[0][0] + X[1] * T[1][0] + X[2] * T[2][0]
+    q1 = X[0] * T[0][1] + X[1] * T[1][1] + X[2] * T[2][1]
+    sY = sigma_apply(ctx.Y, F)
+    return [q0 + 0.25 * sY[0] - (2.0 / 3.0) * 1j * ctx.divX * F[0],
+            q1 + 0.25 * sY[1] - (2.0 / 3.0) * 1j * ctx.divX * F[1]]
 
 
-def _w_jet(p: CkfParams, xc):
-    X = ckf_components(p, xc)
-    return jsqrt(vdot(X, X)), X
+def _S_core(ctx: _Field, F):
+    sX = sigma_apply(ctx.X, F)
+    return [ctx.invw * sX[0], ctx.invw * sX[1]]
 
 
-def _S_core(p: CkfParams, F, xc):
-    w, X = _w_jet(p, xc)
-    sX = sigma_apply(X, F)
-    inv = 1.0 / w
-    return [inv * sX[0], inv * sX[1]]
-
-
-def _P_core(p: CkfParams, F, xc, sign: int):
-    SF = _S_core(p, F, xc)
+def _P_core(ctx: _Field, F, sign: int):
+    SF = _S_core(ctx, F)
     return [0.5 * (F[0] + sign * SF[0]), 0.5 * (F[1] + sign * SF[1])]
 
 
-def _Dw_core(p: CkfParams, Ac, F, xc):
-    w, _ = _w_jet(p, xc)
-    return _D_core(Ac, [w * F[0], w * F[1]])
+def _Dw_core(ctx: _Field, F):
+    return _D_core(ctx.A, [ctx.w * F[0], ctx.w * F[1]])
 
 
 def _spinor_values(F):
@@ -118,11 +123,11 @@ def _as_point_batch(x):
     return x
 
 
-def _check_parallel(p: CkfParams, spec: Optional[PotentialSpec], x):
+def _check_parallel(ctx: _Field, spec: Optional[PotentialSpec], x):
     if spec is None:
         return
     B = eval_field(spec, x)
-    X = eval_ckf(p, x)
+    X = np.stack([np.asarray(value(c), dtype=float) for c in ctx.X])
     cross = np.cross(B, X, axis=0)
     num = np.sqrt((cross ** 2).sum(axis=0))
     den = np.sqrt((B ** 2).sum(axis=0)) * np.sqrt((X ** 2).sum(axis=0))
@@ -132,63 +137,59 @@ def _check_parallel(p: CkfParams, spec: Optional[PotentialSpec], x):
                           f"(residual {res:.3e} > {PARALLEL_TOL:g})")
 
 
+def _check_frame(p: CkfParams, ctx: _Field, msg: str):
+    if np.min(value(ctx.w)) <= EPS_FRAME * max(1.0, p.scale()):
+        raise FrameUndefined(msg)
+
+
 def apply_D(spec: Optional[PotentialSpec], f: SpinorField, x) -> np.ndarray:
     """sigma.(-i grad - A) f at x; shape (2,) + batch, complex."""
     x = _as_point_batch(x)
     xc = seed(x, order=1)
-    F = eval_spinor(f, xc)
-    return _spinor_values(_D_core(_A_at(spec, xc), F))
+    A = None if spec is None else potential_components(spec, xc)
+    return _spinor_values(_D_core(A, eval_spinor(f, xc)))
 
 
 def apply_Q(p: CkfParams, spec: Optional[PotentialSpec], f: SpinorField,
             x) -> np.ndarray:
     """Q f at x.  Requires curl A parallel to X at x (or spec = None)."""
     x = _as_point_batch(x)
-    _check_parallel(p, spec, x)
     xc = seed(x, order=1)
+    ctx = _Field(p, spec, xc)
     F = eval_spinor(f, xc)
-    return _spinor_values(_Q_core(p, _A_at(spec, xc), F, xc))
+    _check_parallel(ctx, spec, x)
+    return _spinor_values(_Q_core(ctx, F))
 
 
 def apply_S(p: CkfParams, f: SpinorField, x) -> np.ndarray:
     """S f = w^{-1} (sigma.X) f at x; FrameUndefined where w vanishes."""
     x = _as_point_batch(x)
-    w = np.sqrt((eval_ckf(p, x) ** 2).sum(axis=0))
-    if np.min(w) <= EPS_FRAME * max(1.0, p.scale()):
-        raise FrameUndefined("S = w^{-1} sigma.X needs w > 0")
     xc = seed(x, order=1)
+    ctx = _Field(p, None, xc)
     F = eval_spinor(f, xc)
-    return _spinor_values(_S_core(p, F, xc))
+    _check_frame(p, ctx, "S = w^{-1} sigma.X needs w > 0")
+    return _spinor_values(_S_core(ctx, F))
 
 
 def commutator_residuals(p: CkfParams, spec: Optional[PotentialSpec],
                          f: SpinorField, x):
     """Residual norms of [Dw,Q]f, [Q,S]f, {Dw,S}f - 2Qf - (X.Y)/(2w) Sf."""
     x = _as_point_batch(x)
-    _check_parallel(p, spec, x)
-    w = np.sqrt((eval_ckf(p, x) ** 2).sum(axis=0))
-    if np.min(w) <= EPS_FRAME * max(1.0, p.scale()):
-        raise FrameUndefined("commutator identities live in {w > 0}")
-
     xc = seed(x, order=2)
-    Ac = _A_at(spec, xc)
+    ctx = _Field(p, spec, xc)
     F = eval_spinor(f, xc)
+    _check_parallel(ctx, spec, x)
+    _check_frame(p, ctx, "commutator identities live in {w > 0}")
 
-    QF = _Q_core(p, Ac, F, xc)
-    DwF = _Dw_core(p, Ac, F, xc)
-    r1 = [a - b for a, b in zip(_Dw_core(p, Ac, QF, xc),
-                                _Q_core(p, Ac, DwF, xc))]
+    QF = _Q_core(ctx, F)
+    DwF = _Dw_core(ctx, F)
+    r1 = [a - b for a, b in zip(_Dw_core(ctx, QF), _Q_core(ctx, DwF))]
 
-    SF = _S_core(p, F, xc)
-    r2 = [a - b for a, b in zip(_Q_core(p, Ac, SF, xc),
-                                _S_core(p, QF, xc))]
+    SF = _S_core(ctx, F)
+    r2 = [a - b for a, b in zip(_Q_core(ctx, SF), _S_core(ctx, QF))]
 
-    anti = [a + b for a, b in zip(_Dw_core(p, Ac, SF, xc),
-                                  _S_core(p, DwF, xc))]
-    wj, Xj = _w_jet(p, xc)
-    Yj = curl_components(p, xc)
-    XY = vdot(Xj, Yj)
-    coef = 0.5 * XY / wj
+    anti = [a + b for a, b in zip(_Dw_core(ctx, SF), _S_core(ctx, DwF))]
+    coef = 0.5 * vdot(ctx.X, ctx.Y) / ctx.w
     r3 = [anti[k] - 2.0 * QF[k] - coef * SF[k] for k in range(2)]
 
     return _norm_at(r1), _norm_at(r2), _norm_at(r3)
@@ -291,59 +292,14 @@ def norm_decomposition_check(p: CkfParams, spec: Optional[PotentialSpec],
         wts3 = np.repeat(wxy, zs.size) * np.tile(wz, xg.size)
 
         xc = seed(P, order=1)
-        Ac = _A_at(spec, xc)
+        ctx = _Field(p, spec, xc)
         F = eval_spinor(f, xc)
-        X = ckf_components(p, xc)
-        wj = jsqrt(vdot(X, X))
-        invw = 1.0 / wj
-        Yj = curl_components(p, xc)
-        dv = div_ckf(p, xc)
-        wv = np.asarray(value(wj), dtype=float)
+        DwF = _Dw_core(ctx, F)
+        Tp = _P_core(ctx, _Dw_core(ctx, _P_core(ctx, F, -1)), +1)
+        Tm = _P_core(ctx, _Dw_core(ctx, _P_core(ctx, F, +1)), -1)
+        QF = _Q_core(ctx, F)
 
-        def T_of(G):
-            out = []
-            for k in range(3):
-                t0 = -1j * partial(G[0], k)
-                t1 = -1j * partial(G[1], k)
-                if Ac is not None:
-                    t0 = t0 - Ac[k] * G[0]
-                    t1 = t1 - Ac[k] * G[1]
-                out.append((t0, t1))
-            return out
-
-        def D_of(G):
-            T = T_of(G)
-            return [T[0][1] - 1j * T[1][1] + T[2][0],
-                    T[0][0] + 1j * T[1][0] - T[2][1]]
-
-        def Dw_of(G):
-            return D_of([wj * G[0], wj * G[1]])
-
-        def S_of(G):
-            sX = sigma_apply(X, G)
-            return [invw * sX[0], invw * sX[1]]
-
-        def Q_of(G):
-            T = T_of(G)
-            q0 = X[0] * T[0][0] + X[1] * T[1][0] + X[2] * T[2][0]
-            q1 = X[0] * T[0][1] + X[1] * T[1][1] + X[2] * T[2][1]
-            sY = sigma_apply(Yj, G)
-            return [q0 + 0.25 * sY[0] - (2.0 / 3.0) * 1j * dv * G[0],
-                    q1 + 0.25 * sY[1] - (2.0 / 3.0) * 1j * dv * G[1]]
-
-        SF = S_of(F)
-        Pm = [0.5 * (F[0] - SF[0]), 0.5 * (F[1] - SF[1])]
-        Pp = [0.5 * (F[0] + SF[0]), 0.5 * (F[1] + SF[1])]
-        DwPm = Dw_of(Pm)
-        DwPp = Dw_of(Pp)
-        SDwPm = S_of(DwPm)
-        SDwPp = S_of(DwPp)
-        Tp = [0.5 * (DwPm[0] + SDwPm[0]), 0.5 * (DwPm[1] + SDwPm[1])]
-        Tm = [0.5 * (DwPp[0] - SDwPp[0]), 0.5 * (DwPp[1] - SDwPp[1])]
-        DwF = Dw_of(F)
-        QF = Q_of(F)
-
-        wts = wts3 * wv
+        wts = wts3 * np.asarray(value(ctx.w), dtype=float)
         def accum(G):
             g = _spinor_values(G)
             return float(wts @ (np.abs(g) ** 2).sum(axis=0))

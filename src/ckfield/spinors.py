@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .jets import Jet, jexp, jconj, jsqrt, jwhere, value
+from .jets import jexp, jconj, jwhere, value
 
 __all__ = [
     "SpinorField", "gaussian_packet", "bump_packet", "losyau_mode", "custom",

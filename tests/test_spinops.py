@@ -18,7 +18,7 @@ from ckfield.errors import (FrameUndefined, NotParallel, NotSimpleRotation,
 from ckfield.flows import eval_ckf_curl
 from ckfield.potentials import (axial, eval_potential, gauged, hopfbase,
                                 lossyau, scaled, smoothbump)
-from ckfield.quadrature import QuadBox
+from ckfield.quadrature import QuadBox, box_axes
 from ckfield.spinops import (CutoffPair, apply_D, apply_Q, apply_S, chi0,
                              chi0_prime, chi0_prime_max, chi_R,
                              commutator_residuals, cutoff_bound_check,
@@ -251,6 +251,24 @@ def test_norm_decomposition_rotation_axial():
     assert lhs > 0.0
     assert min(tp, tm, q) >= 0.0
     assert rel < 1.0e-3
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_norm_decomposition_q_term_matches_apply_Q(n):
+    # the decomposition's ||Q f||_w^2 against the public Q on every box node
+    p = field_ro()
+    spec = axial(smoothbump(0.1, 3.0, 0.8))
+    f = bump_packet((0.3, 2.2), (-0.9, 0.9), spinor=(0.8, 0.6j))
+    box = QuadBox(((-1.6, 1.6), (-1.6, 1.6), (-1.0, 1.0)), n=n)
+    _, (_, _, q), _ = norm_decomposition_check(p, spec, f, box)
+    (xn, xw), (yn, yw), (zn, zw) = box_axes(box)
+    pts = np.stack(np.meshgrid(xn, yn, zn, indexing="ij")).reshape(3, -1)
+    wts = np.einsum("i,j,k->ijk", xw, yw, zw).reshape(-1)
+    w = np.sqrt((eval_ckf(p, pts) ** 2).sum(axis=0))
+    Qf = apply_Q(p, spec, f, pts)
+    expect = float((wts * w) @ (np.abs(Qf) ** 2).sum(axis=0))
+    assert expect > 0.0
+    assert abs(q - expect) <= 1.0e-12 * expect
 
 
 def test_norm_decomposition_is_deterministic():
