@@ -24,8 +24,8 @@ from .ckf import (CkfParams, classify, field_cr, field_iso, field_ro,
 from .errors import BlowUp, CkfieldError, NoConvergence
 from .flows import (fixed_point_census, integrate_curve, loop_integrals,
                     planarity_and_curvature)
-from .grid import (GridSpec, assemble, free_sigma_min, scaling_sweep,
-                   sigma_min, zeromode_residual_on_grid)
+from .grid import (SOLVE_TOL, GridSpec, assemble, free_sigma_min,
+                   scaling_sweep, sigma_min, zeromode_residual_on_grid)
 from .holonomy import admissible_spectrum, transport
 from .identities import run_identity_suite, sample_points
 from .potentials import (axial, eval_field, eval_potential, hopfbase,
@@ -351,17 +351,19 @@ def _cmd_spectrum_sweep(cfg) -> int:
     gs = GridSpec(L=float(L), n=int(n), order=int(cfg.get("stencil", 4)),
                   coupling=str(cfg.get("coupling", "site")))
     ts = _parse_ts(str(cfg.get("ts", "0:20:1")))
-    tol = float(cfg.get("tol", 1.0e-6))
+    tol = float(cfg.get("tol", SOLVE_TOL))
     seed = int(cfg.get("seed", 0))
     d = _outdir(cfg, "spectrum-sweep")
     free = free_sigma_min(gs)
     floor = 0.5 * free
     sw = scaling_sweep(spec, ts, gs, rng_seed=seed, tol=tol)
-    rows = [(f"{t:.6g}", f"{s:.8e}", s > floor)
-            for t, s in zip(sw.ts, sw.sigma_mins)]
-    _write_csv(d / "sweep.csv", ("t", "sigma_min", "above_floor"), rows)
+    rows = [(f"{t:.6g}", f"{s:.8e}", s > floor, int(its), f"{eta:.3e}")
+            for t, s, its, eta in zip(sw.ts, sw.sigma_mins, sw.iterations,
+                                      sw.residuals)]
+    _write_csv(d / "sweep.csv",
+               ("t", "sigma_min", "above_floor", "iterations", "eta"), rows)
     cfg2 = dict(cfg)
-    cfg2.update({"sigma_free": free, "sigma_floor": floor,
+    cfg2.update({"tol": tol, "sigma_free": free, "sigma_floor": floor,
                  "grid_h": gs.h, "dim": gs.dim})
     _write_manifest(d, cfg2)
     lo = float(sw.sigma_mins.min())
@@ -394,8 +396,8 @@ def _cmd_control_losyau(cfg) -> int:
         gi = GridSpec(L=gs.L, n=ni, order=gs.order)
         r = zeromode_residual_on_grid(spec, mode, gi)
         rows.append((ni, gi.h, r))
-    s_min = sigma_min(assemble(gs, spec), rng_seed=seed,
-                      tol=float(cfg.get("tol", 1.0e-6)))
+    tol = float(cfg.get("tol", SOLVE_TOL))
+    s_min = sigma_min(assemble(gs, spec), rng_seed=seed, tol=tol)
     free = free_sigma_min(gs)
     _write_csv(d / "residuals.csv", ("n", "h", "grid_residual"),
                [(a, f"{b:.6g}", f"{c:.6e}") for a, b, c in rows])
@@ -405,7 +407,7 @@ def _cmd_control_losyau(cfg) -> int:
                               for a, b, c in rows]}
     with open(d / "control.json", "w") as fh:
         json.dump(rec, fh, indent=2)
-    _write_manifest(d, cfg)
+    _write_manifest(d, {**cfg, "tol": tol})
     decreasing = all(rows[i][2] > rows[i + 1][2] for i in range(len(rows) - 1))
     ok = cont <= 1.0e-10 and decreasing
     print(json.dumps(rec))

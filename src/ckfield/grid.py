@@ -16,26 +16,33 @@ truncated at the walls).  Two couplings to the potential:
         diagonal unitary exp(i g) up to the stencil's truncation error
         (exactly, for g linear).
 
-The smallest singular value is computed from M^2 by LOBPCG with a seeded
-start, preconditioned by the exact inverse (M0^2)^-1 of the free (A = 0)
-operator squared.  M0^2 is a Kronecker sum of the 1-d matrix D1^T D1 over
-the three axes (times the 2x2 identity), so its inverse is applied in the
-real eigenbasis of that n x n matrix: three axis-wise matrix products, one
-diagonal scale, three more products.  Odd n gives D1 a zero eigenvalue, so
-the free floor and the preconditioner raise FreeZeroMode there.  The Ritz
-residual of the unpreconditioned M^2 certifies the result or NoConvergence
-is raised.
+The smallest singular value is computed from M^2 by an in-library block
+LOBPCG (Knyazev, SIAM J. Sci. Comput. 23(2), 2001) with a seeded or
+warm-started block of 6 vectors, preconditioned by the exact inverse
+(M0^2)^-1 of the free (A = 0) operator squared.  M0^2 is a Kronecker sum
+of the 1-d matrix D1^T D1 over the three axes (times the 2x2 identity), so
+its inverse is applied in the real eigenbasis of that n x n matrix: three
+axis-wise matrix products, one diagonal scale, three more products.  Odd n
+gives D1 a zero eigenvalue, so the free floor and the preconditioner raise
+FreeZeroMode there.
+
+A solve stops as soon as the lowest two Ritz vectors have residual norm
+<= tol; the upper block vectors only speed the iteration up and are not
+converged.  Two, because M of the axial and modulated families has
++-sigma pairs, so the lowest level of M^2 is double.  The solver touches
+M only through its shape and M @ B.  The Ritz residual of the
+unpreconditioned M^2, recomputed explicitly, certifies the result or
+NoConvergence is raised.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, lobpcg
+from scipy.linalg import eigh, solve_triangular
 
 from .errors import FreeZeroMode, GridTooLarge, NoConvergence
 from .potentials import PotentialSpec, eval_potential, spec_to_dict
@@ -43,9 +50,16 @@ from .spinors import SpinorField, eval_spinor
 
 __all__ = ["GridSpec", "GridOperator", "SweepResult", "grid_points",
            "assemble", "free_sigma_min", "sigma_min", "scaling_sweep",
-           "zeromode_residual_on_grid", "MAX_DIM"]
+           "zeromode_residual_on_grid", "MAX_DIM", "SOLVE_TOL"]
 
 MAX_DIM = 600_000
+
+# M of the axial and modulated families has +-sigma pairs, so the lowest
+# level of M^2 is double: a solve stops once both its columns converge
+_PAIR = 2
+
+# residual norm at which a Ritz column of M^2 counts as converged
+SOLVE_TOL = 1.0e-7
 
 PAULI = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
          np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
@@ -95,7 +109,7 @@ class SweepResult:
     sigma_mins: np.ndarray
     grid: GridSpec
     potential: Optional[dict]
-    iterations: np.ndarray    # LOBPCG iterations per t; 0 on the dense path
+    iterations: np.ndarray    # in-library LOBPCG iterations per t; 0 if dense
     residuals: np.ndarray     # certified Ritz residual eta per t; 0 if dense
 
 
@@ -240,8 +254,103 @@ def _free_inverse(gs: GridSpec):
     return apply
 
 
+def _cholesky_qr(G: np.ndarray) -> np.ndarray:
+    """R^-1 for a Gram matrix G = V^H V = R^H R, so that V R^-1 is
+    orthonormal; raises LinAlgError if G is not positive definite."""
+    L = np.linalg.cholesky(G)
+    return solve_triangular(L, np.eye(len(G)), lower=True).conj().T
+
+
+def _rayleigh_ritz(S, AS, k: int):
+    """Lowest k Ritz pairs of M^2 on the span of the blocks S = [X, W] or
+    [X, W, P], given AS = M^2 S; X is orthonormal.
+
+    W and P are orthonormalized by Cholesky QR of their Gram blocks.  The
+    factor enters only the small projected matrices, so no tall block is
+    rescaled.  P is left out when its Gram block, or the Gram matrix of
+    [X, W, P], is not positive definite.  Returns (theta, X, AX, P, AP),
+    or None if [X, W] fails as well.
+    """
+    k_w = k + S[1].shape[1]
+    S, AS = np.hstack(S), np.hstack(AS)
+    SH = S.conj().T
+    gA, gB = SH @ AS, SH @ S
+    T = np.eye(S.shape[1], dtype=complex)
+    try:
+        T[k:k_w, k:k_w] = _cholesky_qr(gB[k:k_w, k:k_w])
+    except np.linalg.LinAlgError:
+        return None
+    widths = [k_w]
+    if S.shape[1] > k_w:
+        try:
+            T[k_w:, k_w:] = _cholesky_qr(gB[k_w:, k_w:])
+            widths.insert(0, S.shape[1])
+        except np.linalg.LinAlgError:
+            pass
+    for m in widths:                    # with P first, then without
+        Tm = T[:, :m]
+        a, b = Tm.conj().T @ gA @ Tm, Tm.conj().T @ gB @ Tm
+        try:
+            theta, C = eigh((a + a.conj().T) / 2, (b + b.conj().T) / 2,
+                            subset_by_index=[0, k - 1])
+        except np.linalg.LinAlgError:
+            continue
+        C = Tm @ C
+        CP = C.copy()
+        CP[:k] = 0.0                    # P: the new X without the old X
+        C = np.hstack([C, CP])
+        XP, AXP = S @ C, AS @ C
+        return theta, XP[:, :k], AXP[:, :k], XP[:, k:], AXP[:, k:]
+    return None
+
+
+def _lobpcg(M, X: np.ndarray, precondition, tol: float, maxiter: int):
+    """Lowest Ritz pairs of M^2 by block LOBPCG (Knyazev 2001).
+
+    Returns (theta, X, iterations) with theta ascending and X orthonormal.
+    The iteration stops once the lowest _PAIR columns have residual
+    norm <= tol.  Columns already below tol get no search direction (soft
+    locking).  W is projected off X before the Rayleigh-Ritz step.  The
+    block returned is the iterate whose lowest pair had the smallest
+    residual: below a tol that rounding cannot reach, the recurrences for
+    M^2 X and M^2 P drift and later iterates lose accuracy.
+    """
+    def A(B):
+        return M @ (M @ B)
+
+    k = X.shape[1]
+    X = X @ _cholesky_qr(X.conj().T @ X)
+    AX = A(X)
+    theta, C = eigh(X.conj().T @ AX)
+    X, AX = X @ C, AX @ C
+    P = AP = None
+    best = (np.inf, theta, X)
+    iterations = 0
+    while True:
+        R = AX - X * theta
+        norms = np.linalg.norm(R, axis=0)
+        if norms[:_PAIR].max() < best[0]:
+            best = (norms[:_PAIR].max(), theta, X)
+        active = norms > tol
+        if not active[:_PAIR].any() or iterations == maxiter:
+            break
+        iterations += 1
+        W = precondition(R[:, active])
+        W -= X @ (X.conj().T @ W)
+        S, AS = [X, W], [AX, A(W)]
+        if P is not None:
+            S.append(P[:, active])
+            AS.append(AP[:, active])
+        step = _rayleigh_ritz(S, AS, k)
+        if step is None:
+            break               # the residuals left lie in span(X)
+        theta, X, AX, P, AP = step
+    _, theta, X = best
+    return theta, X, iterations
+
+
 def _sigma_min_block(op: GridOperator, rng_seed: int = 0,
-                     tol: float = 1.0e-7, maxiter: int = 5000,
+                     tol: float = SOLVE_TOL, maxiter: int = 5000,
                      block: int = 6, method: str = "auto",
                      X0: Optional[np.ndarray] = None):
     """(sigma_min, Ritz block, iterations, eta); sweeps warm-start from the
@@ -252,31 +361,13 @@ def _sigma_min_block(op: GridOperator, rng_seed: int = 0,
         w = np.linalg.eigvalsh(M.toarray())
         return float(np.abs(w).min()), None, 0, 0.0
 
-    def mv(v):
-        return M @ (M @ v)
-
-    M2 = LinearOperator((dim, dim), matvec=mv,
-                        matmat=lambda B: M @ (M @ B), dtype=complex)
     free_inv = _free_inverse(op.grid)
-    iterations = 0
-
-    def precondition(B):
-        nonlocal iterations
-        iterations += 1         # lobpcg preconditions once per iteration
-        return free_inv(B)
-
     if X0 is None or X0.shape != (dim, block):
         rng = np.random.default_rng(rng_seed)
         X0 = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
-    with warnings.catch_warnings():
-        # lobpcg warns when it exits at maxiter; the residual check below
-        # is the actual acceptance gate
-        warnings.simplefilter("ignore", UserWarning)
-        vals, vecs = lobpcg(M2, X0, M=precondition, largest=False, tol=tol,
-                            maxiter=maxiter)
-    i = int(np.argmin(vals))
-    lam = float(vals[i])
-    v = vecs[:, i]
+    vals, vecs, iterations = _lobpcg(M, X0, free_inv, tol, maxiter)
+    lam = float(vals[0])
+    v = vecs[:, 0]
     v = v / np.linalg.norm(v)
     r = M @ (M @ v) - lam * v
     eta = float(np.linalg.norm(r))
@@ -289,7 +380,7 @@ def _sigma_min_block(op: GridOperator, rng_seed: int = 0,
     return float(np.sqrt(lam)), vecs, iterations, eta
 
 
-def sigma_min(op: GridOperator, rng_seed: int = 0, tol: float = 1.0e-7,
+def sigma_min(op: GridOperator, rng_seed: int = 0, tol: float = SOLVE_TOL,
               maxiter: int = 5000, block: int = 6,
               method: str = "auto") -> float:
     """Smallest singular value of M, certified by the M^2 Ritz residual."""

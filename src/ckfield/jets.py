@@ -73,10 +73,15 @@ class Jet:
         return Jet(-self.f, -self.g, None if self.h is None else -self.h)
 
     def __sub__(self, other):
-        return self + (-other)
+        if isinstance(other, Jet):
+            h = None
+            if self.h is not None and other.h is not None:
+                h = self.h - other.h
+            return Jet(self.f - other.f, self.g - other.g, h)
+        return Jet(self.f - other, self.g, self.h)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return Jet(other - self.f, -self.g, None if self.h is None else -self.h)
 
     def __mul__(self, other):
         if isinstance(other, Jet):

@@ -169,11 +169,24 @@ def test_spectrum_sweep_cmd(tmp_path):
     assert run("spectrum-sweep", "--potential", "axial", "--grid", "8,3",
                "--ts", "0:1:0.5", outdir=tmp_path) == 0
     header, rows = _read_csv(tmp_path / "spectrum-sweep" / "sweep.csv")
-    assert header == ["t", "sigma_min", "above_floor"]
+    assert header == ["t", "sigma_min", "above_floor", "iterations", "eta"]
     assert len(rows) == 3
-    assert {r[-1] for r in rows} == {"True"}
+    assert {r[2] for r in rows} == {"True"}
+    # dim 1024 takes the dense path: no iterations, no Ritz residual
+    assert {(r[3], float(r[4])) for r in rows} == {("0", 0.0)}
     man = _read_json(tmp_path / "spectrum-sweep" / "manifest.json")
     assert man["sigma_floor"] == pytest.approx(0.5 * man["sigma_free"])
+    assert man["tol"] == 1.0e-7     # the library's default
+
+    # dim 2000 runs the iterative solver; every t carries its certificate
+    assert run("spectrum-sweep", "--potential", "axial", "--grid", "10,3",
+               "--ts", "0:1:0.5", outdir=tmp_path) == 0
+    _, rows = _read_csv(tmp_path / "spectrum-sweep" / "sweep.csv")
+    assert len(rows) == 3
+    for r in rows:
+        sigma, its, eta = float(r[1]), int(r[3]), float(r[4])
+        assert its > 0
+        assert 0.0 < eta <= 0.05 * sigma ** 2
 
 
 def test_spectrum_sweep_refuses_odd_grid(tmp_path, capsys):
@@ -192,6 +205,8 @@ def test_control_losyau_cmd(tmp_path):
     assert rs[0] > rs[1]
     _, rows = _read_csv(tmp_path / "control-losyau" / "residuals.csv")
     assert len(rows) == 2
+    man = _read_json(tmp_path / "control-losyau" / "manifest.json")
+    assert man["tol"] == 1.0e-7     # the library's default
 
 
 def test_field_eval_cmd(tmp_path):

@@ -125,6 +125,42 @@ def test_lobpcg_uncertified_raises():
         sigma_min(op, method="lobpcg", maxiter=1, tol=1.0e-30)
 
 
+class _MatmulOnly:
+    """A matrix that offers only shape, dtype, @ and toarray, and counts
+    the vectors it multiplies (the access the benchmark's tracer wraps)."""
+
+    __slots__ = ("_m", "shape", "dtype", "products")
+
+    def __init__(self, m):
+        self._m, self.shape, self.dtype = m, m.shape, m.dtype
+        self.products = 0
+
+    def __matmul__(self, x):
+        self.products += 1 if x.ndim == 1 else x.shape[1]
+        return self._m @ x
+
+    def toarray(self):
+        return self._m.toarray()
+
+
+def test_lobpcg_needs_only_matmul():
+    op = assemble(SWEEP_GS, scaled(SWEEP_SPEC, 10.0))
+    wrapped = _MatmulOnly(op.matrix)
+    got = sigma_min(GridOperator(matrix=wrapped, grid=op.grid,
+                                 potential=op.potential), method="lobpcg")
+    assert wrapped.products > 0
+    assert got == pytest.approx(sigma_min(op, method="dense"), rel=1.0e-9)
+
+
+def test_lobpcg_unreachable_tol_keeps_best_iterate():
+    # residuals stall near rounding level long before tol = 1e-15; the
+    # iterates after that drift, so the solver returns its best one
+    op = assemble(GridSpec(L=6.0, n=10), lossyau())
+    ref = sigma_min(op, method="dense")
+    got = sigma_min(op, method="lobpcg", tol=1.0e-15, maxiter=300)
+    assert got == pytest.approx(ref, rel=1.0e-9)
+
+
 @pytest.mark.parametrize("n,spec", [
     (10, lossyau()),
     (12, lossyau()),
@@ -212,6 +248,9 @@ def test_scaling_sweep_reports_solver_work(warm_sweep):
     assert (res.iterations > 0).all()
     # every t is certified: eta within the bound of _sigma_min_block
     assert (res.residuals <= 0.05 * res.sigma_mins ** 2).all()
+    # each solve stops once the lowest pair has converged; waiting for all
+    # six block vectors took 306 iterations over this sweep
+    assert res.iterations.sum() < 230
 
 
 @pytest.mark.xfail(strict=True, reason=(

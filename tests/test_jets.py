@@ -77,6 +77,29 @@ def test_mixed_order_truncates():
     assert z2.h is not None
 
 
+def _same_bits(a, b):
+    assert (a.h is None) == (b.h is None)
+    for u, v in ((a.f, b.f), (a.g, b.g), (a.h, b.h)):
+        if u is not None:
+            assert np.array_equal(np.asarray(u).view(np.uint8),
+                                  np.asarray(v).view(np.uint8))
+
+
+def test_subtraction_is_bitwise_negate_and_add(rng):
+    pts = rng.uniform(-1, 1, (3, 5))
+    x2, x1 = seed(pts, order=2), seed(pts, order=1)
+    a = jexp(x2[0] * (0.3 + 0.7j)) * x2[1]        # complex, with Hessian
+    b = jsin(x2[2]) / (2.0 + x2[0])               # real, with Hessian
+    c = jcos(x1[1]) * x1[2]                       # real, h = None
+    k = rng.uniform(-1, 1, 5) + 0.4j
+    for u, v in ((a, b), (b, a), (a, c), (c, b), (c, c)):
+        _same_bits(u - v, u + (-v))
+    for j in (a, b, c):
+        for s in (k, 0.25, k[0]):
+            _same_bits(j - s, j + (-s))
+            _same_bits(s - j, (-j) + s)
+
+
 def test_division_and_power(rng):
     x = seed(rng.uniform(0.5, 1.5, 3), order=2)
     a = (1.0 + x[0] * x[1])
