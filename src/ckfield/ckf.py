@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FrameUndefined, NotSimpleRotation, ZeroField
-from .jets import jsqrt, value, vnorm2
+from .jets import jsqrt, partial, seed, value, vcross, vcurl, vnorm2
 
 EPS_FRAME = 1e-10     # absolute threshold below which frames are undefined
 EPS_CLASSIFY = 1e-9   # relative tolerance for classification decisions
@@ -163,6 +163,14 @@ def eval_ckf(p: CkfParams, x) -> np.ndarray:
     return np.stack([np.asarray(v, float) for v in ckf_components(p, xc)])
 
 
+def eval_ckf_curl(p: CkfParams, x) -> np.ndarray:
+    """curl X at plain points, shape (3,) + batch."""
+    x = np.asarray(x, dtype=float)
+    comps = curl_components(p, [x[0], x[1], x[2]])
+    return np.stack([np.broadcast_to(np.asarray(v, float), x.shape[1:])
+                     for v in comps])
+
+
 def jacobian_ckf(p: CkfParams, x) -> np.ndarray:
     """J[i, j] = dX_j/dx_i at a plain point (closed form)."""
     x = np.asarray(x, dtype=float)
@@ -222,8 +230,8 @@ def frame_at(p: CkfParams, x) -> FieldFrame:
     """Frame quantities at a single point."""
     x = np.asarray(x, dtype=float)
     X = eval_ckf(p, x)
-    Y = np.stack(curl_components(p, [x[0], x[1], x[2]]))
-    XxY = np.cross(X, Y)
+    Y = eval_ckf_curl(p, x)
+    XxY = np.stack(vcross(X, Y))
     w = float(np.linalg.norm(X))
     ny = float(np.linalg.norm(Y))
     T = N = B = None
@@ -254,7 +262,7 @@ def simple_rotation_residual(p: CkfParams):
     """(a.b, c.b, b0*b - c x a): all vanish iff X . curl X = 0 on R^3."""
     r1 = float(p.a @ p.b)
     r2 = float(p.c @ p.b)
-    r3 = p.b0 * p.b - np.cross(p.c, p.a)
+    r3 = p.b0 * p.b - np.stack(vcross(p.c, p.a))
     return r1, r2, r3
 
 
@@ -302,12 +310,12 @@ def classify(p: CkfParams, tol: float = EPS_CLASSIFY) -> CanonicalForm:
     na, nb, nc = (np.linalg.norm(p.a), np.linalg.norm(p.b),
                   np.linalg.norm(p.c))
     if nc > tol * s:
-        x0 = (np.cross(p.c, p.b) - p.b0 * p.c) / nc**2
+        x0 = (np.stack(vcross(p.c, p.b)) - p.b0 * p.c) / nc**2
         nu = 0.5 * (2.0 * float(p.a @ p.c) + nb**2 - float(p.b0)**2) / nc**2
         return CanonicalForm(kind="Special", x0=x0, axis=p.c / nc, scale=nc,
                              nu=nu, admissible=bool(nu > 0.0))
     if nb > tol * s:
-        x0 = np.cross(p.b, p.a) / nb**2
+        x0 = np.stack(vcross(p.b, p.a)) / nb**2
         return CanonicalForm(kind="Rotation", x0=x0, axis=p.b / nb, scale=nb,
                              nu=None, admissible=True)
     if abs(float(p.b0)) > tol * s:
@@ -329,23 +337,20 @@ def reconstruct(cf: CanonicalForm) -> CkfParams:
         return CkfParams(a=-b0 * cf.x0, b0=b0, b=zero, c=zero)
     if cf.kind == "Rotation":
         b = cf.scale * cf.axis
-        return CkfParams(a=-np.cross(b, cf.x0), b0=0.0, b=b, c=zero)
+        return CkfParams(a=-np.stack(vcross(b, cf.x0)), b0=0.0, b=b, c=zero)
     if cf.kind == "Special":
         c = cf.scale * cf.axis
         x0, nu = cf.x0, cf.nu
         a = nu * c + float(c @ x0) * x0 - 0.5 * float(x0 @ x0) * c
-        return CkfParams(a=a, b0=-float(c @ x0), b=-np.cross(c, x0), c=c)
+        return CkfParams(a=a, b0=-float(c @ x0), b=-np.stack(vcross(c, x0)),
+                         c=c)
     raise ValueError(f"unknown kind {cf.kind!r}")
 
 
 def killing_residual_of_curl(p: CkfParams, x) -> float:
     """max_ij |d_i Y_j + d_j Y_i| with Y = curl X, by forward-mode AD."""
-    from .jets import partial, seed
     xc = seed(np.asarray(x, float), order=2)
-    X = ckf_components(p, xc)
-    Y = [partial(X[2], 1) - partial(X[1], 2),
-         partial(X[0], 2) - partial(X[2], 0),
-         partial(X[1], 0) - partial(X[0], 1)]
+    Y = vcurl(ckf_components(p, xc))
     res = 0.0
     for i in range(3):
         for j in range(3):
@@ -358,7 +363,6 @@ def killing_residual_of_curl(p: CkfParams, x) -> float:
 def cke_residual(p: CkfParams, x) -> float:
     """Conformal Killing equation residual max_ij |d_iX_j + d_jX_i
     - (2/3) divX d_ij| with exact derivatives."""
-    from .jets import partial, seed
     xc = seed(np.asarray(x, float), order=1)
     X = ckf_components(p, xc)
     d = value(div_ckf(p, xc))

@@ -161,9 +161,7 @@ def _cmd_classify(cfg) -> int:
         return 1
     rec = {"kind": cf.kind, "x0": _jsonable(cf.x0), "axis": _jsonable(cf.axis),
            "scale": cf.scale, "nu": cf.nu, "rate": cf.rate,
-           "admissible": cf.admissible,
-           "roundtrip_exact": bool(np.array_equal(
-               reconstruct(cf).a, p.a))}
+           "admissible": cf.admissible}
     q = reconstruct(cf)
     rec["roundtrip_exact"] = (np.array_equal(q.a, p.a) and q.b0 == p.b0 and
                               np.array_equal(q.b, p.b) and np.array_equal(q.c, p.c))

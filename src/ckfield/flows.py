@@ -28,11 +28,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .ckf import (CkfParams, EPS_FRAME, ckf_components, classify,
-                  curl_components, div_ckf, eval_ckf)
+from .ckf import (CkfParams, EPS_FRAME, ckf_components, classify, div_ckf,
+                  eval_ckf, eval_ckf_curl)
 from .errors import (BlowUp, FrameUndefined, IntegrationFailed,
                      NotAdmissible, NotClosed, NotSimpleRotation, ZeroField)
-from .jets import partial, seed, value
+from .jets import partial, seed, value, vcross
 from .potentials import PotentialSpec, eval_potential
 from .quadrature import periodic_trapezoid
 
@@ -258,14 +258,6 @@ def integrate_curve(p: CkfParams, x0, t_max: Optional[float] = None,
                       analytic=_analytic_tag(p, x0))
 
 
-def eval_ckf_curl(p: CkfParams, x) -> np.ndarray:
-    """curl X at plain points, shape (3,) + batch."""
-    x = np.asarray(x, dtype=float)
-    comps = curl_components(p, [x[0], x[1], x[2]])
-    return np.stack([np.broadcast_to(np.asarray(v, float), x.shape[1:])
-                     for v in comps])
-
-
 def loop_integrals(trace: CurveTrace, p: CkfParams,
                    spec: Optional[PotentialSpec] = None) -> LoopIntegrals:
     """(∮ div X dt, ∮ |Y| dt, ∮ X.A dt) over one period."""
@@ -303,7 +295,7 @@ def planarity_and_curvature(trace: CurveTrace, p: CkfParams):
     gX = np.stack([np.stack([value(partial(Xj[j], i)) for j in range(3)])
                    for i in range(3)])            # gX[i, j] = d_i X_j
     gamma2 = np.einsum("in,ijn->jn", Xv, gX)
-    cross = np.cross(Xv, gamma2, axis=0)
+    cross = np.stack(vcross(Xv, gamma2))
     w = np.sqrt((Xv ** 2).sum(axis=0))
     kappa = np.sqrt((cross ** 2).sum(axis=0)) / w ** 3
     Y = eval_ckf_curl(p, xs)

@@ -46,7 +46,7 @@ from scipy.linalg import eigh, solve_triangular
 
 from .errors import FreeZeroMode, GridTooLarge, NoConvergence
 from .potentials import PotentialSpec, eval_potential, spec_to_dict
-from .spinors import SpinorField, eval_spinor
+from .spinors import PAULI, SpinorField, eval_spinor
 
 __all__ = ["GridSpec", "GridOperator", "SweepResult", "grid_points",
            "assemble", "free_sigma_min", "sigma_min", "scaling_sweep",
@@ -58,12 +58,11 @@ MAX_DIM = 600_000
 # level of M^2 is double: a solve stops once both its columns converge
 _PAIR = 2
 
+# LOBPCG block width; the columns above _PAIR only speed the iteration up
+_BLOCK = 6
+
 # residual norm at which a Ritz column of M^2 counts as converged
 SOLVE_TOL = 1.0e-7
-
-PAULI = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-         np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-         np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -198,12 +197,7 @@ def assemble(gs: GridSpec, spec: Optional[PotentialSpec] = None,
         M = sum(sp.kron(_link_space_matrix(gs, A[k], k), PAULI[k],
                         format="csr") for k in range(3))
 
-    tag = None
-    if spec is not None:
-        try:
-            tag = spec_to_dict(spec)
-        except ValueError:
-            tag = {"kind": spec.kind}
+    tag = spec_to_dict(spec) if spec is not None else None
     return GridOperator(matrix=M.tocsr(), grid=gs, potential=tag)
 
 
@@ -351,8 +345,7 @@ def _lobpcg(M, X: np.ndarray, precondition, tol: float, maxiter: int):
 
 def _sigma_min_block(op: GridOperator, rng_seed: int = 0,
                      tol: float = SOLVE_TOL, maxiter: int = 5000,
-                     block: int = 6, method: str = "auto",
-                     X0: Optional[np.ndarray] = None):
+                     method: str = "auto", X0: Optional[np.ndarray] = None):
     """(sigma_min, Ritz block, iterations, eta); sweeps warm-start from the
     block.  The dense path returns (sigma_min, None, 0, 0.0)."""
     M = op.matrix
@@ -362,9 +355,10 @@ def _sigma_min_block(op: GridOperator, rng_seed: int = 0,
         return float(np.abs(w).min()), None, 0, 0.0
 
     free_inv = _free_inverse(op.grid)
-    if X0 is None or X0.shape != (dim, block):
+    if X0 is None or X0.shape != (dim, _BLOCK):
         rng = np.random.default_rng(rng_seed)
-        X0 = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
+        X0 = (rng.standard_normal((dim, _BLOCK))
+              + 1j * rng.standard_normal((dim, _BLOCK)))
     vals, vecs, iterations = _lobpcg(M, X0, free_inv, tol, maxiter)
     lam = float(vals[0])
     v = vecs[:, 0]
@@ -381,11 +375,10 @@ def _sigma_min_block(op: GridOperator, rng_seed: int = 0,
 
 
 def sigma_min(op: GridOperator, rng_seed: int = 0, tol: float = SOLVE_TOL,
-              maxiter: int = 5000, block: int = 6,
-              method: str = "auto") -> float:
+              maxiter: int = 5000, method: str = "auto") -> float:
     """Smallest singular value of M, certified by the M^2 Ritz residual."""
     return _sigma_min_block(op, rng_seed=rng_seed, tol=tol, maxiter=maxiter,
-                            block=block, method=method)[0]
+                            method=method)[0]
 
 
 def scaling_sweep(spec: PotentialSpec, ts, gs: GridSpec,
@@ -414,13 +407,9 @@ def scaling_sweep(spec: PotentialSpec, ts, gs: GridSpec,
         sigmas.append(sig)
         iterations.append(its)
         residuals.append(eta)
-    tag = None
-    try:
-        tag = spec_to_dict(spec)
-    except ValueError:
-        tag = {"kind": spec.kind}
     return SweepResult(ts=ts, sigma_mins=np.asarray(sigmas), grid=gs,
-                       potential=tag, iterations=np.asarray(iterations),
+                       potential=spec_to_dict(spec),
+                       iterations=np.asarray(iterations),
                        residuals=np.asarray(residuals))
 
 

@@ -24,9 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .ckf import CkfParams, EPS_FRAME, div_ckf, eval_ckf
+from .ckf import CkfParams, EPS_FRAME, div_ckf, eval_ckf, eval_ckf_curl
 from .errors import FrameUndefined, NotClosed, SectorMismatch
-from .flows import CurveTrace, eval_ckf_curl
+from .flows import CurveTrace
 from .jets import seed, value
 from .potentials import PotentialSpec, eval_potential
 from .spinops import _Field, _P_core, _Q_core

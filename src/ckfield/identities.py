@@ -20,7 +20,7 @@ import numpy as np
 
 from .ckf import EPS_FRAME, CkfParams, ckf_components, is_simple_rotation
 from .errors import FrameUndefined, UnknownIdentity
-from .jets import seed
+from .jets import seed, vcross, vcurl
 
 DEFAULT_TOL = 1e-10
 
@@ -56,14 +56,11 @@ class _Ctx:
         self.hX = np.stack([np.stack([np.stack(
             [np.broadcast_to(X[j].h[i, k], tail) for j in range(3)])
             for k in range(3)]) for i in range(3)])
+        Y = vcurl(X)
+        self.Yv = np.stack([np.broadcast_to(Y[j].f, tail) for j in range(3)])
+        self.gY = np.stack([np.stack([np.broadcast_to(Y[j].g[i], tail)
+                                      for j in range(3)]) for i in range(3)])
         gX, hX = self.gX, self.hX
-        self.Yv = np.stack([gX[1, 2] - gX[2, 1],
-                            gX[2, 0] - gX[0, 2],
-                            gX[0, 1] - gX[1, 0]])
-        self.gY = np.stack([np.stack([hX[i, 1, 2] - hX[i, 2, 1],
-                                      hX[i, 2, 0] - hX[i, 0, 2],
-                                      hX[i, 0, 1] - hX[i, 1, 0]])
-                            for i in range(3)])
         self.divX = gX[0, 0] + gX[1, 1] + gX[2, 2]
         self.gdiv = hX[:, 0, 0] + hX[:, 1, 1] + hX[:, 2, 2]
         self.lapX = hX[0, 0] + hX[1, 1] + hX[2, 2]
@@ -74,7 +71,7 @@ class _Ctx:
         self.XdotY = np.einsum("i...,i...->...", Xv, Yv)
         self.gXdotY = (np.einsum("j...,ij...->i...", Yv, gX)
                        + np.einsum("j...,ij...->i...", Xv, self.gY))
-        self.XxY = np.cross(Xv, Yv, axis=0)
+        self.XxY = np.stack(vcross(Xv, Yv))
         self.DXX = np.einsum("i...,ij...->j...", Xv, gX)
         self.DXY = np.einsum("i...,ij...->j...", Xv, self.gY)
         self.DZY = np.einsum("i...,ij...->j...", self.XxY, self.gY)
@@ -122,14 +119,14 @@ def _grad_w2(ctx):
 
 def _xcross_grad_w(ctx):
     # (X x grad) w = 1/2 w^-1 (X.Y) X - 1/2 w Y
-    lhs = np.cross(ctx.Xv, ctx.grad_w(), axis=0)
+    lhs = np.stack(vcross(ctx.Xv, ctx.grad_w()))
     rhs = 0.5 * (ctx.XdotY / ctx.w) * ctx.Xv - 0.5 * ctx.w * ctx.Yv
     return _vmax(lhs - rhs)
 
 
 def _triple_cross_xxy(ctx):
     # X x (X x Y) = (X.Y) X - w^2 Y
-    lhs = np.cross(ctx.Xv, ctx.XxY, axis=0)
+    lhs = np.stack(vcross(ctx.Xv, ctx.XxY))
     return _vmax(lhs - ctx.XdotY * ctx.Xv + ctx.w2 * ctx.Yv)
 
 
@@ -146,7 +143,7 @@ def _grad_xy_gradxdoty(ctx):
 
 def _grad_xy_laplacian(ctx):
     # grad_X Y = 2 X x (lap X)
-    return _vmax(ctx.DXY - 2.0 * np.cross(ctx.Xv, ctx.lapX, axis=0))
+    return _vmax(ctx.DXY - 2.0 * np.stack(vcross(ctx.Xv, ctx.lapX)))
 
 
 def _grad_xxy_y(ctx):
@@ -173,7 +170,7 @@ def _xxy_norm_simple(ctx):
 
 def _triple_cross_simple(ctx):
     # X x (X x Y) = -w^2 Y
-    lhs = np.cross(ctx.Xv, ctx.XxY, axis=0)
+    lhs = np.stack(vcross(ctx.Xv, ctx.XxY))
     return _vmax(lhs + ctx.w2 * ctx.Yv)
 
 

@@ -20,7 +20,7 @@ __all__ = [
     "Jet", "seed", "value", "partial",
     "jsqrt", "jexp", "jlog", "jsin", "jcos", "jatan2",
     "jwhere", "jreal", "jimag", "jconj",
-    "vdot", "vcross", "vnorm2",
+    "vdot", "vcross", "vcurl", "vnorm2",
 ]
 
 
@@ -245,6 +245,13 @@ def vcross(u, v):
     return [u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],
             u[0] * v[1] - u[1] * v[0]]
+
+
+def vcurl(u):
+    """curl of a 3-vector of jets, one derivative order lower."""
+    return [partial(u[2], 1) - partial(u[1], 2),
+            partial(u[0], 2) - partial(u[2], 0),
+            partial(u[1], 0) - partial(u[0], 1)]
 
 
 def vnorm2(u):

@@ -37,7 +37,8 @@ import numpy as np
 
 from .ckf import CkfParams, eval_ckf, field_ro, field_cr, field_iso
 from .errors import ConstructionFailed, FrameUndefined
-from .jets import Jet, seed, value, partial, jexp, jsqrt, jsin, jcos, jreal, jimag
+from .jets import (seed, value, partial, jexp, jsqrt, jsin, jcos, jreal,
+                   jimag, vcross, vcurl)
 from .spinors import (losyau_mode, losyau_psi, sigma_apply, spinor_inner,
                       smooth_bump_scalar)
 
@@ -318,54 +319,51 @@ def eval_potential(spec: PotentialSpec, x):
     return np.stack([np.broadcast_to(value(c), x.shape[1:]) for c in comps])
 
 
+def _field_values(A, shape):
+    """B = curl A, shape (3,) + shape, from A on seeded jets of any order."""
+    return np.stack([np.broadcast_to(np.asarray(value(c), dtype=float), shape)
+                     for c in vcurl(A)])
+
+
 def eval_field(spec: PotentialSpec, x):
     """B = curl A by exact differentiation of the analytic family."""
     x = _as_batch(x)
-    A = potential_components(spec, seed(x, order=1))
-    def d(i, j):
-        return value(partial(A[j], i)) if isinstance(A[j], Jet) else 0.0
-    b = [d(1, 2) - d(2, 1), d(2, 0) - d(0, 2), d(0, 1) - d(1, 0)]
-    return np.stack([np.broadcast_to(np.asarray(v, dtype=float), x.shape[1:])
-                     for v in b])
+    return _field_values(potential_components(spec, seed(x, order=1)),
+                         x.shape[1:])
 
 
 def field_divergence(spec: PotentialSpec, x):
     """div curl A, identically zero; exact derivatives make this a sharp check."""
     x = _as_batch(x)
-    A = potential_components(spec, seed(x, order=2))
-    def d(i, j):
-        return partial(A[j], i) if isinstance(A[j], Jet) else 0.0
-    b = [d(1, 2) - d(2, 1), d(2, 0) - d(0, 2), d(0, 1) - d(1, 0)]
+    b = vcurl(potential_components(spec, seed(x, order=2)))
     out = 0.0
     for i in range(3):
-        out = out + (value(partial(b[i], i)) if isinstance(b[i], Jet) else 0.0)
+        out = out + value(partial(b[i], i))
     return np.asarray(out) + np.zeros(x.shape[1:])
+
+
+def _parallel_residual(B, X):
+    """|B x X| / max(|B||X|, floor) pointwise, for arrays (3,) + batch."""
+    num = np.sqrt((np.stack(vcross(B, X)) ** 2).sum(axis=0))
+    den = np.sqrt((B ** 2).sum(axis=0)) * np.sqrt((X ** 2).sum(axis=0))
+    return num / np.maximum(den, PARALLEL_FLOOR)
 
 
 def parallelism_residual(spec: PotentialSpec, x):
     """|B x X| / max(|B||X|, floor) at x; 0 for every in-scope spec."""
     x = _as_batch(x)
-    B = eval_field(spec, x)
-    X = eval_ckf(parent_field(spec), x)
-    cross = np.cross(B, X, axis=0)
-    num = np.sqrt((cross ** 2).sum(axis=0))
-    den = np.sqrt((B ** 2).sum(axis=0)) * np.sqrt((X ** 2).sum(axis=0))
-    return num / np.maximum(den, PARALLEL_FLOOR)
+    return _parallel_residual(eval_field(spec, x),
+                              eval_ckf(parent_field(spec), x))
 
 
 # -- the positive control --------------------------------------------------
 
-def losyau_potential_from_mode(xc):
-    """A_j = Re<psi, sigma_j sigma.(-i grad) psi> / |psi|^2 on jets.
+def losyau_potential_from_mode(psi, t):
+    """A_j = Re<psi, sigma_j t> / |psi|^2 on jets, t = sigma.(-i grad) psi.
 
     Returns (A components, max imaginary part) so the caller can certify
     that the defining ratio is in fact real.
     """
-    psi = losyau_psi(xc)
-    grads = [[partial(c, k) for k in range(3)] for c in psi]
-    # sigma.(-i grad) psi, assembled column by column
-    t = [(-1j) * grads[0][2] + (-1j) * grads[1][0] - grads[1][1],
-         (-1j) * grads[0][0] + grads[0][1] + 1j * grads[1][2]]
     n2 = jreal(spinor_inner(psi, psi))
     ey = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
     comps, max_imag = [], 0.0
@@ -389,19 +387,19 @@ def construct_losyau(n_points: int = 1000, rng_seed: int = 7,
     """
     rng = np.random.default_rng(rng_seed)
     pts = rng.normal(scale=1.5, size=(3, n_points))
-    xc = seed(pts, order=1)
+    psi = losyau_psi(seed(pts, order=1))
+    grads = [[partial(c, k) for k in range(3)] for c in psi]
+    # sigma.(-i grad) psi, assembled column by column
+    t = [(-1j) * grads[0][2] + (-1j) * grads[1][0] - grads[1][1],
+         (-1j) * grads[0][0] + grads[0][1] + 1j * grads[1][2]]
 
-    comps, max_imag = losyau_potential_from_mode(xc)
+    comps, max_imag = losyau_potential_from_mode(psi, t)
     spec = lossyau()
     closed = potential_components(spec, [pts[0], pts[1], pts[2]])
     scale = 1.0 + max(float(np.max(np.abs(value(c)))) for c in closed)
     mismatch = max(float(np.max(np.abs(value(c) - cc)))
                    for c, cc in zip(comps, closed)) / scale
 
-    psi = losyau_psi(xc)
-    grads = [[partial(c, k) for k in range(3)] for c in psi]
-    t = [(-1j) * grads[0][2] + (-1j) * grads[1][0] - grads[1][1],
-         (-1j) * grads[0][0] + grads[0][1] + 1j * grads[1][2]]
     Apsi = sigma_apply([value(c) for c in closed],
                        [value(psi[0]), value(psi[1])])
     res = np.sqrt(np.abs(value(t[0]) - Apsi[0]) ** 2

@@ -15,7 +15,10 @@ Each operator exists once, as a core on jets.  The cores read one field
 context per seeded point batch (X, w, div X, Y, 1/w and A, evaluated once);
 the public operators, the commutator residuals, the norm decomposition's
 z-slabs and the holonomy sector coefficients all build that context and
-share the cores.
+share the cores.  The check that B = curl A is parallel to X, which Q and
+the commutator residuals need, takes B from the gradient of the context's
+A jets and the residual from `potentials`, so each call evaluates the
+potential once.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ from .ckf import (CkfParams, EPS_FRAME, eval_ckf, frame_quantities,
 from .errors import (FrameUndefined, NotParallel, NotSimpleRotation,
                      SupportViolation)
 from .jets import partial, seed, value, vdot
-from .potentials import PotentialSpec, eval_field, potential_components
+from .potentials import (PotentialSpec, _as_batch, _field_values,
+                         _parallel_residual, potential_components)
 from .quadrature import QuadBox, box_axes
-from .spinors import SpinorField, eval_spinor, sigma_apply
+from .spinors import SpinorField, eval_spinor, sigma_apply, spinor_abs
 
 __all__ = [
     "apply_D", "apply_Q", "apply_S", "commutator_residuals",
@@ -109,29 +113,14 @@ def _spinor_values(F):
                      np.asarray(value(F[1]), dtype=complex)])
 
 
-def _norm_at(F):
-    v = _spinor_values(F)
-    return float(np.sqrt((np.abs(v) ** 2).sum(axis=0)).max())
-
-
 # -- pointwise public API ----------------------------------------------------
 
-def _as_point_batch(x):
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != 3:
-        raise ValueError("expected shape (3,) or (3,) + batch")
-    return x
-
-
-def _check_parallel(ctx: _Field, spec: Optional[PotentialSpec], x):
-    if spec is None:
+def _check_parallel(ctx: _Field, x):
+    if ctx.A is None:
         return
-    B = eval_field(spec, x)
+    B = _field_values(ctx.A, x.shape[1:])
     X = np.stack([np.asarray(value(c), dtype=float) for c in ctx.X])
-    cross = np.cross(B, X, axis=0)
-    num = np.sqrt((cross ** 2).sum(axis=0))
-    den = np.sqrt((B ** 2).sum(axis=0)) * np.sqrt((X ** 2).sum(axis=0))
-    res = float(np.max(num / np.maximum(den, 1.0e-300)))
+    res = float(np.max(_parallel_residual(B, X)))
     if res > PARALLEL_TOL:
         raise NotParallel(f"B = curl A is not parallel to X "
                           f"(residual {res:.3e} > {PARALLEL_TOL:g})")
@@ -144,7 +133,7 @@ def _check_frame(p: CkfParams, ctx: _Field, msg: str):
 
 def apply_D(spec: Optional[PotentialSpec], f: SpinorField, x) -> np.ndarray:
     """sigma.(-i grad - A) f at x; shape (2,) + batch, complex."""
-    x = _as_point_batch(x)
+    x = _as_batch(x)
     xc = seed(x, order=1)
     A = None if spec is None else potential_components(spec, xc)
     return _spinor_values(_D_core(A, eval_spinor(f, xc)))
@@ -153,17 +142,17 @@ def apply_D(spec: Optional[PotentialSpec], f: SpinorField, x) -> np.ndarray:
 def apply_Q(p: CkfParams, spec: Optional[PotentialSpec], f: SpinorField,
             x) -> np.ndarray:
     """Q f at x.  Requires curl A parallel to X at x (or spec = None)."""
-    x = _as_point_batch(x)
+    x = _as_batch(x)
     xc = seed(x, order=1)
     ctx = _Field(p, spec, xc)
     F = eval_spinor(f, xc)
-    _check_parallel(ctx, spec, x)
+    _check_parallel(ctx, x)
     return _spinor_values(_Q_core(ctx, F))
 
 
 def apply_S(p: CkfParams, f: SpinorField, x) -> np.ndarray:
     """S f = w^{-1} (sigma.X) f at x; FrameUndefined where w vanishes."""
-    x = _as_point_batch(x)
+    x = _as_batch(x)
     xc = seed(x, order=1)
     ctx = _Field(p, None, xc)
     F = eval_spinor(f, xc)
@@ -174,11 +163,11 @@ def apply_S(p: CkfParams, f: SpinorField, x) -> np.ndarray:
 def commutator_residuals(p: CkfParams, spec: Optional[PotentialSpec],
                          f: SpinorField, x):
     """Residual norms of [Dw,Q]f, [Q,S]f, {Dw,S}f - 2Qf - (X.Y)/(2w) Sf."""
-    x = _as_point_batch(x)
+    x = _as_batch(x)
     xc = seed(x, order=2)
     ctx = _Field(p, spec, xc)
     F = eval_spinor(f, xc)
-    _check_parallel(ctx, spec, x)
+    _check_parallel(ctx, x)
     _check_frame(p, ctx, "commutator identities live in {w > 0}")
 
     QF = _Q_core(ctx, F)
@@ -192,7 +181,7 @@ def commutator_residuals(p: CkfParams, spec: Optional[PotentialSpec],
     coef = 0.5 * vdot(ctx.X, ctx.Y) / ctx.w
     r3 = [anti[k] - 2.0 * QF[k] - coef * SF[k] for k in range(2)]
 
-    return _norm_at(r1), _norm_at(r2), _norm_at(r3)
+    return tuple(float(np.max(spinor_abs(r))) for r in (r1, r2, r3))
 
 
 # -- the w-weighted norm decomposition ---------------------------------------

@@ -238,6 +238,28 @@ def test_commutators_reject_bad_inputs():
         commutator_residuals(field_ro(), None, f, np.array([0.0, 0.0, 0.5]))
 
 
+def test_operators_evaluate_the_potential_once(monkeypatch):
+    # the parallelism check reads B = curl A from the field context's A jets
+    import ckfield.potentials
+    import ckfield.spinops
+    calls = []
+    real = ckfield.potentials.potential_components
+
+    def counting(spec, xc):
+        calls.append(spec.kind)
+        return real(spec, xc)
+
+    monkeypatch.setattr(ckfield.potentials, "potential_components", counting)
+    monkeypatch.setattr(ckfield.spinops, "potential_components", counting)
+    pts = np.random.default_rng(15).uniform(-0.5, 0.5, size=(3, 10))
+    f = gaussian_packet((0.1, 0.0, 0.2), 0.5)
+    commutator_residuals(field_cr(1.0), hopfbase(1.0), f, pts)
+    assert calls == ["hopfbase"]
+    calls.clear()
+    apply_Q(field_cr(1.0), hopfbase(1.0), f, pts)
+    assert calls == ["hopfbase"]
+
+
 # ---------------------------------------------------------------------------
 # norm decomposition
 
