@@ -10,6 +10,14 @@ Values may be real or complex and may carry trailing batch axes: seeding a
 (3, N) block of points evaluates an expression and its derivatives at N
 points in one vectorized pass.  Only the operations the analytic families
 actually need are implemented.
+
+A jet has order 2 (value, gradient, Hessian), 1 (no Hessian) or 0 (a bare
+value whose derivatives were used up, `Jet(f, None)`).  Arithmetic between
+jets runs at the lower order, so a missing gradient or Hessian is
+contagious and no product computes derivatives its result cannot carry.
+`derivative` takes d/dx_k one order down, and `truncate` drops orders
+before an expensive product.  Plain numbers and arrays are constants: they
+report order 2 and never truncate a jet they meet.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "Jet", "seed", "value", "partial",
+    "Jet", "seed", "value", "order", "truncate", "derivative", "partial",
     "jsqrt", "jexp", "jlog", "jsin", "jcos", "jatan2",
     "jwhere", "jreal", "jimag", "jconj",
     "vdot", "vcross", "vcurl", "vnorm2",
@@ -28,8 +36,14 @@ def _outer(u, v):
     return u[:, None] * v[None, :]
 
 
+def _neg(a):
+    return None if a is None else -a
+
+
 def _chain(a, v, d1, d2):
     """Compose a scalar function (value v, derivatives d1, d2 at a.f) with a."""
+    if a.g is None:
+        return Jet(v, None)
     h = None
     if a.h is not None:
         h = d1 * a.h + d2 * _outer(a.g, a.g)
@@ -37,11 +51,12 @@ def _chain(a, v, d1, d2):
 
 
 class Jet:
-    """Value + gradient (+ optional Hessian) w.r.t. the three coordinates.
+    """Value (+ optional gradient (+ optional Hessian)) w.r.t. the three
+    coordinates.
 
-    Mixed-order arithmetic truncates to the lower order (a missing Hessian
-    is contagious); plain numbers and arrays act as constants and do not
-    truncate.
+    Mixed-order arithmetic truncates to the lower order (a missing gradient
+    or Hessian is contagious); plain numbers and arrays act as constants and
+    do not truncate.
     """
 
     __slots__ = ("f", "g", "h")
@@ -56,11 +71,12 @@ class Jet:
         self.h = h
 
     def __repr__(self):
-        order = 1 if self.h is None else 2
-        return f"Jet(order={order}, f={self.f!r})"
+        return f"Jet(order={order(self)}, f={self.f!r})"
 
     def __add__(self, other):
         if isinstance(other, Jet):
+            if self.g is None or other.g is None:
+                return Jet(self.f + other.f, None)
             h = None
             if self.h is not None and other.h is not None:
                 h = self.h + other.h
@@ -70,10 +86,12 @@ class Jet:
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.f, -self.g, None if self.h is None else -self.h)
+        return Jet(-self.f, _neg(self.g), _neg(self.h))
 
     def __sub__(self, other):
         if isinstance(other, Jet):
+            if self.g is None or other.g is None:
+                return Jet(self.f - other.f, None)
             h = None
             if self.h is not None and other.h is not None:
                 h = self.h - other.h
@@ -81,18 +99,20 @@ class Jet:
         return Jet(self.f - other, self.g, self.h)
 
     def __rsub__(self, other):
-        return Jet(other - self.f, -self.g, None if self.h is None else -self.h)
+        return Jet(other - self.f, _neg(self.g), _neg(self.h))
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             f = self.f * other.f
+            if self.g is None or other.g is None:
+                return Jet(f, None)
             g = self.f * other.g + other.f * self.g
             h = None
             if self.h is not None and other.h is not None:
                 h = (self.f * other.h + other.f * self.h
                      + _outer(self.g, other.g) + _outer(other.g, self.g))
             return Jet(f, g, h)
-        return Jet(self.f * other, self.g * other,
+        return Jet(self.f * other, None if self.g is None else self.g * other,
                    None if self.h is None else self.h * other)
 
     __rmul__ = __mul__
@@ -137,17 +157,39 @@ def value(z):
     return z.f if isinstance(z, Jet) else z
 
 
-def partial(z, k: int):
-    """d/dx_k of a jet, one derivative order lower (plain value at order 1)."""
+def order(z) -> int:
+    """Derivative order a value carries: 0, 1 or 2; constants report 2."""
+    if not isinstance(z, Jet) or z.h is not None:
+        return 2
+    return 0 if z.g is None else 1
+
+
+def truncate(z, m: int):
+    """z with its derivatives above order m dropped; shares z's arrays.
+    Constants stay as they are."""
+    if not isinstance(z, Jet) or order(z) <= m:
+        return z
+    return Jet(z.f, z.g if m >= 1 else None, None)
+
+
+def derivative(z, k: int):
+    """d/dx_k of a jet as a jet one derivative order lower; 0.0 for
+    constants.  An order-0 jet has no derivative left to take."""
     if not isinstance(z, Jet):
         return 0.0
-    if z.h is None:
-        return z.g[k]
-    return Jet(z.g[k], z.h[k], None)
+    if z.g is None:
+        raise ValueError("an order-0 jet carries no derivative")
+    return Jet(z.g[k], None if z.h is None else z.h[k])
+
+
+def partial(z, k: int):
+    """d/dx_k of a jet, one derivative order lower (plain value at order 1)."""
+    d = derivative(z, k)
+    return d.f if isinstance(d, Jet) and d.g is None else d
 
 
 def _const_like(ref: Jet, v):
-    g = np.zeros_like(ref.g)
+    g = None if ref.g is None else np.zeros_like(ref.g)
     h = None if ref.h is None else np.zeros_like(ref.h)
     return Jet(v + np.zeros_like(ref.f), g, h)
 
@@ -192,6 +234,8 @@ def jatan2(y, x):
     yj = y if isinstance(y, Jet) else _const_like(x, y)
     xj = x if isinstance(x, Jet) else _const_like(y, x)
     f = np.arctan2(yj.f, xj.f)
+    if xj.g is None or yj.g is None:
+        return Jet(f, None)
     r2 = xj.f * xj.f + yj.f * yj.f
     g = (xj.f * yj.g - yj.f * xj.g) / r2
     h = None
@@ -208,31 +252,37 @@ def jwhere(mask, a, b):
         return np.where(mask, a, b)
     aj = a if isinstance(a, Jet) else _const_like(b, a)
     bj = b if isinstance(b, Jet) else _const_like(a, b)
+    f = np.where(mask, aj.f, bj.f)
+    if aj.g is None or bj.g is None:
+        return Jet(f, None)
     h = None
     if aj.h is not None and bj.h is not None:
         h = np.where(mask, aj.h, bj.h)
-    return Jet(np.where(mask, aj.f, bj.f), np.where(mask, aj.g, bj.g), h)
+    return Jet(f, np.where(mask, aj.g, bj.g), h)
+
+
+def _map(fn, z):
+    # apply an elementwise linear map to every order z carries
+    return Jet(fn(z.f), None if z.g is None else fn(z.g),
+               None if z.h is None else fn(z.h))
 
 
 def jreal(z):
     if not isinstance(z, Jet):
         return np.real(z)
-    return Jet(np.real(z.f), np.real(z.g),
-               None if z.h is None else np.real(z.h))
+    return _map(np.real, z)
 
 
 def jimag(z):
     if not isinstance(z, Jet):
         return np.imag(z)
-    return Jet(np.imag(z.f), np.imag(z.g),
-               None if z.h is None else np.imag(z.h))
+    return _map(np.imag, z)
 
 
 def jconj(z):
     if not isinstance(z, Jet):
         return np.conj(z)
-    return Jet(np.conj(z.f), np.conj(z.g),
-               None if z.h is None else np.conj(z.h))
+    return _map(np.conj, z)
 
 
 # -- small vector helpers on length-3 sequences of jets or numbers --------

@@ -37,8 +37,8 @@ import numpy as np
 
 from .ckf import CkfParams, eval_ckf, field_ro, field_cr, field_iso
 from .errors import ConstructionFailed, FrameUndefined
-from .jets import (seed, value, partial, jexp, jsqrt, jsin, jcos, jreal,
-                   jimag, vcross, vcurl)
+from .jets import (seed, value, derivative, partial, jexp, jsqrt, jsin,
+                   jcos, jreal, jimag, vcross, vcurl)
 from .spinors import (losyau_mode, losyau_psi, sigma_apply, spinor_inner,
                       smooth_bump_scalar)
 
@@ -51,7 +51,9 @@ __all__ = [
     "spec_to_dict", "spec_from_dict", "GAUGE_NAMES",
 ]
 
+PARALLEL_TOL = 1.0e-8       # largest residual that counts as parallel
 PARALLEL_FLOOR = 1.0e-300   # avoids 0/0 at isolated zeros of B
+CURL_ROUNDOFF = 16.0        # c in |error of B| <= c eps max_ij |d_i A_j|
 
 
 # -- scalar profiles -------------------------------------------------------
@@ -342,17 +344,34 @@ def field_divergence(spec: PotentialSpec, x):
     return np.asarray(out) + np.zeros(x.shape[1:])
 
 
-def _parallel_residual(B, X):
-    """|B x X| / max(|B||X|, floor) pointwise, for arrays (3,) + batch."""
+def _parallel_residual(A, X):
+    """|B x X| / max(|X| max(|B|, floor), tiny) pointwise, B = curl A.
+
+    A holds jets of order >= 1 and X arrays (3,) + batch.  B's roundoff is
+    at most c eps max_ij |d_i A_j|, and a gauge term can make that far
+    larger than B itself.  The floor is that roundoff over PARALLEL_TOL, so
+    roundoff alone never reads a residual above PARALLEL_TOL, while a B
+    that is truly not parallel still does wherever it exceeds its roundoff.
+    """
+    shape = X.shape[1:]
+    B = _field_values(A, shape)
+    dA = np.stack([np.broadcast_to(np.abs(value(derivative(c, k))), shape)
+                   for c in A for k in range(3)])
+    roundoff = CURL_ROUNDOFF * np.finfo(float).eps * dA.max(axis=0)
     num = np.sqrt((np.stack(vcross(B, X)) ** 2).sum(axis=0))
-    den = np.sqrt((B ** 2).sum(axis=0)) * np.sqrt((X ** 2).sum(axis=0))
+    den = (np.maximum(np.sqrt((B ** 2).sum(axis=0)), roundoff / PARALLEL_TOL)
+           * np.sqrt((X ** 2).sum(axis=0)))
     return num / np.maximum(den, PARALLEL_FLOOR)
 
 
 def parallelism_residual(spec: PotentialSpec, x):
-    """|B x X| / max(|B||X|, floor) at x; 0 for every in-scope spec."""
+    """|B x X| / (|X| max(|B|, floor)) at x; 0 for every in-scope spec.
+
+    The floor keeps B's roundoff from reading as a residual above
+    PARALLEL_TOL (see `_parallel_residual`).
+    """
     x = _as_batch(x)
-    return _parallel_residual(eval_field(spec, x),
+    return _parallel_residual(potential_components(spec, seed(x, order=1)),
                               eval_ckf(parent_field(spec), x))
 
 
@@ -388,7 +407,7 @@ def construct_losyau(n_points: int = 1000, rng_seed: int = 7,
     rng = np.random.default_rng(rng_seed)
     pts = rng.normal(scale=1.5, size=(3, n_points))
     psi = losyau_psi(seed(pts, order=1))
-    grads = [[partial(c, k) for k in range(3)] for c in psi]
+    grads = [[derivative(c, k) for k in range(3)] for c in psi]
     # sigma.(-i grad) psi, assembled column by column
     t = [(-1j) * grads[0][2] + (-1j) * grads[1][0] - grads[1][1],
          (-1j) * grads[0][0] + grads[0][1] + 1j * grads[1][2]]

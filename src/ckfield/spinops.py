@@ -19,6 +19,14 @@ share the cores.  The check that B = curl A is parallel to X, which Q and
 the commutator residuals need, takes B from the gradient of the context's
 A jets and the residual from `potentials`, so each call evaluates the
 potential once.
+
+Every product runs at the derivative order its result carries.  A core
+reads the context truncated to that order (`_Field.at`): D, Q and D_w
+consume one order of their argument, S and P_pm none, and an order-0 jet
+(a bare value) is what is left once the derivatives are used up.  A spinor
+of plain numbers or arrays is a constant (see `jets`), so a fixed spinor
+such as holonomy's e0 meets the context at its full order and P_pm e0
+keeps its x-dependence.
 """
 
 from __future__ import annotations
@@ -33,8 +41,8 @@ from .ckf import (CkfParams, EPS_FRAME, eval_ckf, frame_quantities,
                   is_simple_rotation, simple_rotation_residual)
 from .errors import (FrameUndefined, NotParallel, NotSimpleRotation,
                      SupportViolation)
-from .jets import partial, seed, value, vdot
-from .potentials import (PotentialSpec, _as_batch, _field_values,
+from .jets import derivative, order, seed, truncate, value, vdot
+from .potentials import (PARALLEL_TOL, PotentialSpec, _as_batch,
                          _parallel_residual, potential_components)
 from .quadrature import QuadBox, box_axes
 from .spinors import SpinorField, eval_spinor, sigma_apply, spinor_abs
@@ -45,15 +53,13 @@ __all__ = [
     "chi0_prime_max", "chi_R", "grad_chi_R", "eta_eps", "cutoff_bound_check",
 ]
 
-PARALLEL_TOL = 1.0e-8
-
-
 # -- pointwise cores on jets ------------------------------------------------
 
 class _Field:
     """X, w = |X|, div X, Y = curl X, 1/w and A on one seeded point batch."""
 
-    __slots__ = ("X", "w", "divX", "Y", "invw", "A")
+    __slots__ = ("X", "w", "divX", "Y", "invw", "A", "order", "_views",
+                 "__weakref__")
 
     def __init__(self, p: CkfParams, spec: Optional[PotentialSpec], xc):
         # w and 1/w are singular where X vanishes; Q is not, and the S, P and
@@ -62,17 +68,50 @@ class _Field:
             self.X, self.w, self.divX, self.Y = frame_quantities(p, xc)
             self.invw = 1.0 / self.w
         self.A = None if spec is None else potential_components(spec, xc)
+        self.order = order(xc[0])
+        self._views = {}
+
+    def at(self, m: int) -> "_Field":
+        """This context truncated to derivative order m, cached per order.
+
+        A view gets a dict of its own: one that held its parent's would
+        form a reference cycle, and every slab's arrays would then live
+        until the cyclic garbage collector ran.
+        """
+        if m >= self.order:
+            return self
+        view = self._views.get(m)
+        if view is None:
+            view = object.__new__(_Field)
+            view.X = [truncate(c, m) for c in self.X]
+            view.Y = [truncate(c, m) for c in self.Y]
+            view.w, view.divX, view.invw = (
+                truncate(self.w, m), truncate(self.divX, m),
+                truncate(self.invw, m))
+            view.A = None if self.A is None else [truncate(c, m)
+                                                  for c in self.A]
+            view.order = m
+            view._views = {}
+            self._views[m] = view
+        return view
+
+
+def _order(F):
+    return min(order(F[0]), order(F[1]))
 
 
 def _covariant(A, F):
-    # [(-i d_k - A_k) F for k = 1, 2, 3]
+    # [(-i d_k - A_k) F for k = 1, 2, 3], at one order below F
+    m = _order(F) - 1
+    Fm = [truncate(F[0], m), truncate(F[1], m)]
     out = []
     for k in range(3):
-        t0 = -1j * partial(F[0], k)
-        t1 = -1j * partial(F[1], k)
+        t0 = -1j * derivative(F[0], k)
+        t1 = -1j * derivative(F[1], k)
         if A is not None:
-            t0 = t0 - A[k] * F[0]
-            t1 = t1 - A[k] * F[1]
+            Ak = truncate(A[k], m)
+            t0 = t0 - Ak * Fm[0]
+            t1 = t1 - Ak * Fm[1]
         out.append((t0, t1))
     return out
 
@@ -85,18 +124,20 @@ def _D_core(A, F):
 
 
 def _Q_core(ctx: _Field, F):
-    T = _covariant(ctx.A, F)
-    X = ctx.X
+    c = ctx.at(_order(F) - 1)
+    T = _covariant(c.A, F)
+    X = c.X
     q0 = X[0] * T[0][0] + X[1] * T[1][0] + X[2] * T[2][0]
     q1 = X[0] * T[0][1] + X[1] * T[1][1] + X[2] * T[2][1]
-    sY = sigma_apply(ctx.Y, F)
-    return [q0 + 0.25 * sY[0] - (2.0 / 3.0) * 1j * ctx.divX * F[0],
-            q1 + 0.25 * sY[1] - (2.0 / 3.0) * 1j * ctx.divX * F[1]]
+    sY = sigma_apply(c.Y, F)
+    return [q0 + 0.25 * sY[0] - (2.0 / 3.0) * 1j * c.divX * F[0],
+            q1 + 0.25 * sY[1] - (2.0 / 3.0) * 1j * c.divX * F[1]]
 
 
 def _S_core(ctx: _Field, F):
-    sX = sigma_apply(ctx.X, F)
-    return [ctx.invw * sX[0], ctx.invw * sX[1]]
+    c = ctx.at(_order(F))
+    sX = sigma_apply(c.X, F)
+    return [c.invw * sX[0], c.invw * sX[1]]
 
 
 def _P_core(ctx: _Field, F, sign: int):
@@ -105,7 +146,8 @@ def _P_core(ctx: _Field, F, sign: int):
 
 
 def _Dw_core(ctx: _Field, F):
-    return _D_core(ctx.A, [ctx.w * F[0], ctx.w * F[1]])
+    c = ctx.at(_order(F))
+    return _D_core(c.A, [c.w * F[0], c.w * F[1]])
 
 
 def _spinor_values(F):
@@ -115,12 +157,11 @@ def _spinor_values(F):
 
 # -- pointwise public API ----------------------------------------------------
 
-def _check_parallel(ctx: _Field, x):
+def _check_parallel(ctx: _Field):
     if ctx.A is None:
         return
-    B = _field_values(ctx.A, x.shape[1:])
     X = np.stack([np.asarray(value(c), dtype=float) for c in ctx.X])
-    res = float(np.max(_parallel_residual(B, X)))
+    res = float(np.max(_parallel_residual(ctx.A, X)))
     if res > PARALLEL_TOL:
         raise NotParallel(f"B = curl A is not parallel to X "
                           f"(residual {res:.3e} > {PARALLEL_TOL:g})")
@@ -146,7 +187,7 @@ def apply_Q(p: CkfParams, spec: Optional[PotentialSpec], f: SpinorField,
     xc = seed(x, order=1)
     ctx = _Field(p, spec, xc)
     F = eval_spinor(f, xc)
-    _check_parallel(ctx, x)
+    _check_parallel(ctx)
     return _spinor_values(_Q_core(ctx, F))
 
 
@@ -167,7 +208,7 @@ def commutator_residuals(p: CkfParams, spec: Optional[PotentialSpec],
     xc = seed(x, order=2)
     ctx = _Field(p, spec, xc)
     F = eval_spinor(f, xc)
-    _check_parallel(ctx, x)
+    _check_parallel(ctx)
     _check_frame(p, ctx, "commutator identities live in {w > 0}")
 
     QF = _Q_core(ctx, F)
@@ -178,7 +219,8 @@ def commutator_residuals(p: CkfParams, spec: Optional[PotentialSpec],
     r2 = [a - b for a, b in zip(_Q_core(ctx, SF), _S_core(ctx, QF))]
 
     anti = [a + b for a, b in zip(_Dw_core(ctx, SF), _S_core(ctx, DwF))]
-    coef = 0.5 * vdot(ctx.X, ctx.Y) / ctx.w
+    c = ctx.at(0)
+    coef = 0.5 * vdot(c.X, c.Y) / c.w
     r3 = [anti[k] - 2.0 * QF[k] - coef * SF[k] for k in range(2)]
 
     return tuple(float(np.max(spinor_abs(r))) for r in (r1, r2, r3))

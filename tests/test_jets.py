@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from ckfield.jets import (Jet, jatan2, jcos, jexp, jlog, jsin, jsqrt, partial,
-                          seed, value, vcross, vdot, vnorm2)
+from ckfield.jets import (Jet, derivative, jatan2, jconj, jcos, jexp, jimag,
+                          jlog, jreal, jsin, jsqrt, jwhere, order, partial,
+                          seed, truncate, value, vcross, vdot, vnorm2)
 
 FD_H = 1e-5
 FD_TOL = 1e-7
@@ -135,6 +136,68 @@ def test_vector_helpers(rng):
 def test_value_and_partial_on_plain_numbers():
     assert value(3.5) == 3.5
     assert partial(2.0, 1) == 0.0
+
+
+def test_order_and_truncate(rng):
+    pts = rng.uniform(-1, 1, (3, 4))
+    z = jexp(seed(pts, order=2)[0]) * (1.0 + 0.5j)
+    assert [order(z), order(seed(pts, order=1)[1]), order(Jet(pts[0], None))] \
+        == [2, 1, 0]
+    # plain numbers and arrays are constants
+    assert order(2.5) == order(pts[0]) == 2
+    for m in (0, 1):
+        t = truncate(z, m)
+        assert order(t) == m and t.h is None
+        assert t.f is z.f                        # no copy
+        assert (t.g is z.g) if m == 1 else t.g is None
+    assert truncate(z, 2) is z
+    c = pts[0]
+    assert truncate(c, 0) is c
+
+
+def test_derivative_is_one_order_lower(rng):
+    pts = rng.uniform(0.5, 1.5, (3, 5))
+    z2 = _fn(seed(pts, order=2))
+    z1 = _fn(seed(pts, order=1))
+    for k in range(3):
+        d2, d1 = derivative(z2, k), derivative(z1, k)
+        assert order(d2) == 1 and order(d1) == 0
+        assert np.shares_memory(d1.f, z1.g) and np.shares_memory(d2.g, z2.h)
+        np.testing.assert_array_equal(d1.f, z1.g[k])
+        np.testing.assert_array_equal(d2.f, z2.g[k])
+        np.testing.assert_array_equal(d2.g, z2.h[k])
+        # partial keeps its contract: a jet at order 2, a plain array at 1
+        assert isinstance(partial(z2, k), Jet)
+        assert not isinstance(partial(z1, k), Jet)
+        np.testing.assert_array_equal(partial(z1, k), z1.g[k])
+    assert derivative(3.0, 1) == 0.0
+    with pytest.raises(ValueError):
+        derivative(Jet(pts[0], None), 0)
+
+
+def test_order_zero_is_contagious(rng):
+    pts = rng.uniform(0.5, 1.5, (3, 6))
+    x1 = seed(pts, order=1)
+    x2 = seed(pts, order=2)
+    z0 = Jet(pts[0] * (0.3 + 0.2j), None)
+    mask = pts[1] > 1.0
+    for a in (x1[1], x2[2]):
+        results = [z0 + a, a + z0, z0 - a, a - z0, z0 * a, a * z0,
+                   jwhere(mask, z0, a), jwhere(mask, a, z0),
+                   jatan2(Jet(pts[0], None), a)]
+        for r in results:
+            assert order(r) == 0 and r.g is None and r.h is None
+    r0 = Jet(pts[1], None)
+    unary = [-z0, z0 + 1.0, 1.0 + z0, z0 - 2.0, 2.0 - z0, z0 * 3.0, 3.0 * z0,
+             z0 / 2.0, 1.0 / r0, r0 ** 2, r0 ** 1.5, jexp(z0), jsqrt(r0),
+             jlog(r0), jsin(z0), jcos(z0), jreal(z0), jimag(z0), jconj(z0),
+             jwhere(mask, z0, 1.0), jwhere(mask, 1.0, z0), jatan2(r0, 2.0)]
+    for r in unary:
+        assert order(r) == 0 and r.g is None and r.h is None
+    # the values are those of the full-order computation
+    full = jexp(x2[0] * (0.3 + 0.2j)) / (2.0 + x2[1])
+    low = jexp(truncate(x2[0], 0) * (0.3 + 0.2j)) / (2.0 + x2[1])
+    np.testing.assert_array_equal(low.f, full.f)
 
 
 def test_seed_rejects_bad_shape():

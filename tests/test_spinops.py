@@ -7,7 +7,9 @@ w-weighted norm decomposition are then checked at the tolerances the rest of
 the package relies on.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from ckfield.ckf import CkfParams, eval_ckf, field_cr, field_iso, field_ro
 from ckfield.errors import (FrameUndefined, NotParallel, NotSimpleRotation,
                             SupportViolation)
 from ckfield.flows import eval_ckf_curl
-from ckfield.potentials import (axial, eval_potential, gauged, hopfbase,
-                                lossyau, scaled, smoothbump)
+from ckfield.jets import Jet, order, seed
+from ckfield.potentials import (PARALLEL_TOL, axial, eval_potential, gaussian,
+                                gauged, hopfbase, lossyau, parallelism_residual,
+                                scaled, smoothbump)
 from ckfield.quadrature import QuadBox, box_axes
 from ckfield.spinops import (CutoffPair, apply_D, apply_Q, apply_S, chi0,
                              chi0_prime, chi0_prime_max, chi_R,
@@ -238,6 +242,18 @@ def test_commutators_reject_bad_inputs():
         commutator_residuals(field_ro(), None, f, np.array([0.0, 0.0, 0.5]))
 
 
+def test_gauged_potential_with_roundoff_sized_field_is_parallel():
+    # far out, B = curl A is ~1e-16..1e-8 while the x1 x2 x3 gauge term puts
+    # O(1) entries into grad A, so B's roundoff rivals B itself; that must not
+    # read as a parallelism residual
+    spec = gauged(axial(gaussian(0.5, 1.0)), "x1x2x3")
+    pts = np.random.default_rng(11).normal(scale=1.3, size=(3, 3000))
+    assert np.max(parallelism_residual(spec, pts)) <= PARALLEL_TOL
+    f = gaussian_packet((0.9, 0.2, -0.3), 0.6, spinor=(1.0, 0.4 - 0.2j))
+    assert max(commutator_residuals(field_ro(), spec, f, pts)) < 1.0e-9
+    assert apply_Q(field_ro(), spec, f, pts).shape == (2, 3000)
+
+
 def test_operators_evaluate_the_potential_once(monkeypatch):
     # the parallelism check reads B = curl A from the field context's A jets
     import ckfield.potentials
@@ -258,6 +274,93 @@ def test_operators_evaluate_the_potential_once(monkeypatch):
     calls.clear()
     apply_Q(field_cr(1.0), hopfbase(1.0), f, pts)
     assert calls == ["hopfbase"]
+
+
+# ---------------------------------------------------------------------------
+# derivative orders: every core runs at the order its result carries
+
+
+def _norm_slab():
+    p, spec = field_ro(), axial(smoothbump(0.1, 3.0, 0.8))
+    f = bump_packet((0.3, 2.2), (-0.9, 0.9), spinor=(0.8, 0.6j))
+    pts = _torus_points(np.random.default_rng(16), 50)
+    return p, spec, f, pts
+
+
+def _record_jet_products(monkeypatch):
+    # the lower operand order of every jet-by-jet product, in call order
+    seen = []
+    real = Jet.__mul__
+
+    def mul(a, b):
+        if isinstance(b, Jet):
+            seen.append(min(order(a), order(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(Jet, "__mul__", mul)
+    monkeypatch.setattr(Jet, "__rmul__", mul)
+    return seen
+
+
+def test_cores_on_order_one_seeds_return_values(monkeypatch):
+    from ckfield.spinops import _D_core, _Dw_core, _Field, _P_core, _Q_core
+    p, spec, f, pts = _norm_slab()
+    xc = seed(pts, order=1)
+    ctx = _Field(p, spec, xc)
+    F = eval_spinor(f, xc)
+    Tp = _P_core(ctx, _Dw_core(ctx, _P_core(ctx, F, -1)), +1)
+    Tm = _P_core(ctx, _Dw_core(ctx, _P_core(ctx, F, +1)), -1)
+    seen = _record_jet_products(monkeypatch)
+    for G in (_D_core(ctx.A, F), _Q_core(ctx, F), Tp, Tm):
+        assert [order(c) for c in G] == [0, 0]
+    # D and Q multiply bare values only: no product computes a gradient
+    assert seen and max(seen) == 0
+    # the projections keep F's order; a constant spinor stays x-dependent
+    assert [order(c) for c in _P_core(ctx, F, +1)] == [1, 1]
+    assert [order(c) for c in _P_core(ctx, (1.0, 0.0), +1)] == [1, 1]
+
+
+def test_commutator_QF_carries_no_hessian(monkeypatch):
+    import ckfield.spinops
+    products = _record_jet_products(monkeypatch)
+    seen = []
+    real = ckfield.spinops._Q_core
+
+    def recording(ctx, F):
+        n0 = len(products)
+        out = real(ctx, F)
+        seen.append((min(order(c) for c in F), [order(c) for c in out],
+                     max(products[n0:])))
+        return out
+
+    monkeypatch.setattr(ckfield.spinops, "_Q_core", recording)
+    p, spec, f, pts = _norm_slab()
+    commutator_residuals(p, spec, f, pts)
+    # QF, Q(Dw F), Q(S F): the order-2 seed gives an order-1 QF built from
+    # products without a Hessian, and every Q applied to an order-1 spinor
+    # returns bare values built from bare values
+    assert seen[0] == (2, [1, 1], 1)
+    assert all(out == [order_in - 1] * 2 and top == order_in - 1
+               for order_in, out, top in seen)
+
+
+def test_field_context_is_freed_without_the_cycle_collector():
+    from ckfield.spinops import _Dw_core, _Field, _P_core, _Q_core
+    p, spec, f, pts = _norm_slab()
+    gc.disable()
+    try:
+        xc = seed(pts, order=1)
+        ctx = _Field(p, spec, xc)
+        F = eval_spinor(f, xc)
+        _P_core(ctx, _Dw_core(ctx, _P_core(ctx, F, -1)), +1)
+        _Q_core(ctx, F)
+        assert ctx._views              # the truncated views were cached
+        ref = weakref.ref(ctx)
+        view = weakref.ref(ctx.at(0))
+        del ctx
+        assert ref() is None and view() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
