@@ -16,6 +16,15 @@ truncated at the walls).  Two couplings to the potential:
         diagonal unitary exp(i g) up to the stencil's truncation error
         (exactly, for g linear).
 
+Both couplings are assembled from one table of stencil hops, without
+Kronecker products: each hop s -> s + d e_k that stays inside the box
+writes its 2x2 block v sigma_k and the reverse hop conj(v) sigma_k, with
+v = -i gamma_d (site) or the Peierls value (link); site coupling adds the
+on-site block -A.sigma.  Each row's entries are laid out in ascending
+column order, so the CSR arrays are filled directly and only exact zeros
+are dropped.  scaling_sweep evaluates the grid points and the potential
+once and scales it by t for each operator.
+
 The smallest singular value is computed from M^2 by an in-library block
 LOBPCG (Knyazev, SIAM J. Sci. Comput. 23(2), 2001) with a seeded or
 warm-started block of 6 vectors, preconditioned by the exact inverse
@@ -122,11 +131,9 @@ def _stencil(order: int, h: float):
 
 def _d1_matrix(n: int, order: int, h: float) -> sp.csr_matrix:
     offs, gams = _stencil(order, h)
-    D = sp.lil_matrix((n, n))
-    for d, g in zip(offs, gams):
-        D.setdiag(np.full(n - d, g), d)
-        D.setdiag(np.full(n - d, -g), -d)
-    return D.tocsr()
+    return sp.diags(list(gams) + [-g for g in gams],
+                    list(offs) + [-d for d in offs], shape=(n, n),
+                    format="csr")
 
 
 def axis_points(gs: GridSpec) -> np.ndarray:
@@ -145,60 +152,98 @@ def _check_size(gs: GridSpec, max_dim: int):
         raise GridTooLarge(f"operator dimension {gs.dim} exceeds {max_dim}")
 
 
-def _site_space_matrices(gs: GridSpec):
-    n = gs.n
-    D1 = _d1_matrix(n, gs.order, gs.h)
-    I1 = sp.identity(n, format="csr")
-    I2 = sp.identity(n * n, format="csr")
-    return (sp.kron(D1, I2, format="csr"),
-            sp.kron(I1, sp.kron(D1, I1), format="csr"),
-            sp.kron(I2, D1, format="csr"))
+# spin b that row spin a of a site reaches through sigma_k, per axis k:
+# sigma_x and sigma_y flip the spin, sigma_z keeps it
+_SPIN_TO = ((1, 0), (1, 0), (0, 1))
 
 
-def _link_space_matrix(gs: GridSpec, Ak: np.ndarray, axis: int) -> sp.csr_matrix:
-    """Hops of one axis with Peierls phases; returns H + H^dagger."""
+def _operator_matrix(gs: GridSpec, A: Optional[np.ndarray]) -> sp.csr_matrix:
+    """M in CSR from the stencil's hops and the potential values A (3, n^3).
+
+    The hop s -> s2 = s + d e_k carries v sigma_k[a, b] at (2 s + a, 2 s2 + b)
+    and the reverse hop conj(v) sigma_k[a, b] at (2 s2 + a, 2 s + b), with
+    v = -i gamma_d (site coupling, or A is None) or the Peierls value
+    -i gamma_d exp(-i d h Abar_k) (link coupling).  Site coupling adds the
+    on-site block -A.sigma.
+
+    Every row gets one slot per hop (and two on-site slots), in ascending
+    column order: backward hops, on-site, forward hops.  A slot whose hop
+    leaves the box, or whose on-site entry vanishes, holds 0 and is
+    dropped by eliminate_zeros, which compacts the arrays in place (the
+    CSR arrays keep the padded buffers, at most a few slots per row
+    larger); no hop value is 0.  Every zero real or imaginary part that
+    is kept is +0.0, as sparse additions leave it.
+    """
     n = gs.n
-    stride = (n * n, n, 1)[axis]
+    # the hop table: (k, d, gamma_d) in descending order of the site
+    # offset d n^(2 - k)
     offs, gams = _stencil(gs.order, gs.h)
-    sites = np.arange(n ** 3)
-    idx_along = (sites // stride) % n
-    rows = []
-    cols = []
-    vals = []
-    for d, g in zip(offs, gams):
-        ok = idx_along <= n - 1 - d
-        s = sites[ok]
-        s2 = s + d * stride
-        abar = 0.5 * (Ak[s] + Ak[s2])
-        rows.append(s)
-        cols.append(s2)
-        vals.append(-1j * g * np.exp(-1j * d * gs.h * abar))
-    H = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n ** 3, n ** 3)).tocsr()
-    return H + H.conjugate().T
+    hops = [(k, d, g) for k in range(3)
+            for d, g in sorted(zip(offs, gams), reverse=True)]
+    onsite = A is not None and gs.coupling == "site"
+    link = A is not None and not onsite
+    m = len(hops)
+    width = 2 * m + 2 * onsite
+    rows = 2 * n ** 3
+    # int32 indices while the padded arrays fit them
+    idx = np.int32 if rows * width <= np.iinfo(np.int32).max else np.int64
+    # column of slot j in spin row a, relative to 2 s
+    cols = np.empty((2, width), dtype=idx)
+    for i, (k, d, _) in enumerate(hops):
+        for a in (0, 1):
+            b = _SPIN_TO[k][a]
+            cols[a, i] = -2 * d * n ** (2 - k) + b
+            cols[a, width - 1 - i] = 2 * d * n ** (2 - k) + b
+    if onsite:
+        cols[:, m:m + 2] = (0, 1)
+    two_s = np.arange(0, rows, 2, dtype=idx)
+    indices = two_s.reshape(n, n, n, 1, 1) + cols
+    data = np.zeros((n, n, n, 2, width), dtype=complex)
+    if A is not None:
+        A = A.reshape(3, n, n, n)
+    for i, (k, d, g) in enumerate(hops):
+        src, dst = [slice(None)] * 3, [slice(None)] * 3
+        src[k], dst[k] = slice(0, n - d), slice(d, n)
+        src, dst = tuple(src), tuple(dst)
+        if link:
+            abar = 0.5 * (A[k][src] + A[k][dst])
+            v = -1j * g * np.exp(-1j * d * gs.h * abar)
+        else:
+            v = -1j * g
+        sig = [PAULI[k][a, _SPIN_TO[k][a]] for a in (0, 1)]
+        spins = slice(None)
+        data[src + (spins, width - 1 - i)] = np.multiply.outer(v, sig) + 0.0
+        data[dst + (spins, i)] = np.multiply.outer(np.conj(v), sig) + 0.0
+    if onsite:
+        # row 2 s holds (-A_z, -A_x + i A_y), row 2 s + 1 (-A_x - i A_y, A_z)
+        data[..., 0, m] = -A[2]
+        data[..., 0, m + 1].real = 0.0 - A[0]
+        data[..., 0, m + 1].imag = A[1] + 0.0
+        data[..., 1, m].real = 0.0 - A[0]
+        data[..., 1, m].imag = 0.0 - A[1]
+        data[..., 1, m + 1] = A[2]
+    indptr = np.arange(0, rows * width + 1, width, dtype=idx)
+    M = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr),
+                      shape=(rows, rows))
+    M.eliminate_zeros()
+    return M
+
+
+def _assemble(gs: GridSpec, spec: Optional[PotentialSpec], max_dim: int):
+    """(M, grid_points(gs)); the points are returned for callers that
+    evaluate fields on the same sites."""
+    _check_size(gs, max_dim)
+    pts = grid_points(gs)
+    A = eval_potential(spec, pts) if spec is not None else None
+    return _operator_matrix(gs, A), pts
 
 
 def assemble(gs: GridSpec, spec: Optional[PotentialSpec] = None,
              max_dim: int = MAX_DIM) -> GridOperator:
     """Sparse M approximating sigma.(-i grad - A) with Dirichlet walls."""
-    _check_size(gs, max_dim)
-    pts = grid_points(gs)
-    A = eval_potential(spec, pts) if spec is not None else None
-
-    if gs.coupling == "site" or spec is None:
-        Dx, Dy, Dz = _site_space_matrices(gs)
-        M = sum(sp.kron(-1j * Dk, sig, format="csr")
-                for Dk, sig in zip((Dx, Dy, Dz), PAULI))
-        if A is not None:
-            M = M - sum(sp.kron(sp.diags(A[k]), PAULI[k], format="csr")
-                        for k in range(3))
-    else:
-        M = sum(sp.kron(_link_space_matrix(gs, A[k], k), PAULI[k],
-                        format="csr") for k in range(3))
-
+    M, _ = _assemble(gs, spec, max_dim)
     tag = spec_to_dict(spec) if spec is not None else None
-    return GridOperator(matrix=M.tocsr(), grid=gs, potential=tag)
+    return GridOperator(matrix=M, grid=gs, potential=tag)
 
 
 def _free_spectrum(gs: GridSpec):
@@ -376,7 +421,16 @@ def _sigma_min_block(op: GridOperator, rng_seed: int = 0,
 
 def sigma_min(op: GridOperator, rng_seed: int = 0, tol: float = SOLVE_TOL,
               maxiter: int = 5000, method: str = "auto") -> float:
-    """Smallest singular value of M, certified by the M^2 Ritz residual."""
+    """sigma_min of M: the dense path's exact minimum, or LOBPCG's lowest
+    Ritz value of M^2 (square-rooted).
+
+    Only the dense path proves minimality.  On the LOBPCG path the
+    explicit M^2 Ritz residual certifies that the returned value is *a*
+    singular value of M, not that it is the smallest; a warm sweep can
+    return a higher level (see scaling_sweep).  Below a tol that rounding
+    cannot reach (about 1e-13 and lower) the solver runs to maxiter and
+    returns its best iterate, which is still certified.
+    """
     return _sigma_min_block(op, rng_seed=rng_seed, tol=tol, maxiter=maxiter,
                             method=method)[0]
 
@@ -396,12 +450,16 @@ def scaling_sweep(spec: PotentialSpec, ts, gs: GridSpec,
     t = 0, 2, ..., 20, the value at t = 20 is about 3.3e-3 relative above
     the dense minimum 0.11838; a cold solve there is exact.
     """
-    from .potentials import scaled
     ts = np.asarray(ts, dtype=float)
+    _check_size(gs, MAX_DIM)
+    # t A_1 is bitwise eval_potential(scaled(spec, t)): scaling multiplies
+    # each component by t
+    A1 = eval_potential(spec, grid_points(gs))
     sigmas, iterations, residuals = [], [], []
     X0 = None
     for t in ts:
-        op = assemble(gs, scaled(spec, float(t)) if t != 1.0 else spec)
+        op = GridOperator(matrix=_operator_matrix(gs, float(t) * A1),
+                          grid=gs, potential=None)
         sig, X0, its, eta = _sigma_min_block(op, rng_seed=rng_seed, X0=X0,
                                              **kw)
         sigmas.append(sig)
@@ -422,13 +480,12 @@ def zeromode_residual_on_grid(spec: PotentialSpec, mode: SpinorField,
     Dirichlet wall; the residual then measures pure discretization error
     and should shrink at the stencil's order as h -> 0.
     """
-    op = assemble(gs, spec)
-    pts = grid_points(gs)
+    M, pts = _assemble(gs, spec, MAX_DIM)
     comps = eval_spinor(mode, [pts[0], pts[1], pts[2]])
-    psi = np.empty(op.dim, dtype=complex)
+    psi = np.empty(gs.dim, dtype=complex)
     psi[0::2] = np.asarray(comps[0], dtype=complex)
     psi[1::2] = np.asarray(comps[1], dtype=complex)
-    r = op.matrix @ psi
+    r = M @ psi
 
     inner = (np.abs(pts) <= gs.L - interior_margin).all(axis=0)
     mask = np.repeat(inner, 2)

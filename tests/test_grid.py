@@ -11,17 +11,21 @@ import scipy.sparse as sp
 
 from ckfield.errors import FreeZeroMode, GridTooLarge, NoConvergence
 from ckfield.grid import (GridOperator, GridSpec, _d1_matrix, _free_inverse,
-                          assemble, axis_points, free_sigma_min, grid_points,
-                          scaling_sweep, sigma_min, zeromode_residual_on_grid)
-from ckfield.potentials import (axial, gauge_pair, gauged, hopfbase, lossyau,
-                                scaled, smoothbump)
-from ckfield.spinors import losyau_mode
+                          _sigma_min_block, _stencil, assemble, axis_points,
+                          free_sigma_min, grid_points, scaling_sweep,
+                          sigma_min, zeromode_residual_on_grid)
+from ckfield.potentials import (axial, eval_potential, gauge_pair, gauged,
+                                hopfbase, lossyau, modulated, scaled,
+                                smoothbump)
+from ckfield.spinors import PAULI, losyau_mode
 
 AXIAL = axial(smoothbump(0.2, 4.0, 0.7))
 # the criterion-9 axial family on the benchmark's n = 10 grid
 SWEEP_GS = GridSpec(L=6.0, n=10)
 SWEEP_SPEC = axial(smoothbump(0.5, 9.0, 0.25))
 SWEEP_TS = np.arange(0.0, 21.0, 2.0)
+# the criterion-9 modulated family: its A is nonzero on every site
+SWEEP_MODULATED = modulated(hopfbase(1.0), smoothbump(0.05, 0.5, 1.0))
 
 
 def test_grid_spec_geometry_and_validation():
@@ -56,6 +60,73 @@ def test_operator_is_exactly_hermitian(coupling, order):
     gs = GridSpec(L=2.0, n=8, order=order, coupling=coupling)
     M = assemble(gs, AXIAL).matrix
     assert (M - M.conjugate().T).nnz == 0
+
+
+def _kron_assembly(gs, spec):
+    """Reference M from Kronecker products: the 1-d difference matrix D1
+    lifted to each axis (site coupling), or per-axis Peierls hop matrices
+    H + H^dagger (link coupling), each kron'd with its Pauli matrix."""
+    n = gs.n
+    A = eval_potential(spec, grid_points(gs)) if spec is not None else None
+    if gs.coupling == "site" or A is None:
+        D1, I1 = _d1_matrix(n, gs.order, gs.h), sp.identity(n, format="csr")
+        I2 = sp.identity(n * n, format="csr")
+        Ds = (sp.kron(D1, I2, format="csr"),
+              sp.kron(I1, sp.kron(D1, I1), format="csr"),
+              sp.kron(I2, D1, format="csr"))
+        M = sum(sp.kron(-1j * D, sig, format="csr")
+                for D, sig in zip(Ds, PAULI))
+        if A is None:
+            return M
+        return M - sum(sp.kron(sp.diags(A[k]), PAULI[k], format="csr")
+                       for k in range(3))
+    sites, M = np.arange(n ** 3), 0
+    for k in range(3):
+        stride, rows, cols, vals = n ** (2 - k), [], [], []
+        for d, g in zip(*_stencil(gs.order, gs.h)):
+            s = sites[(sites // stride) % n <= n - 1 - d]
+            abar = 0.5 * (A[k][s] + A[k][s + d * stride])
+            rows.append(s)
+            cols.append(s + d * stride)
+            vals.append(-1j * g * np.exp(-1j * d * gs.h * abar))
+        H = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                           np.concatenate(cols))), shape=(n ** 3,) * 2).tocsr()
+        M = M + sp.kron(H + H.conjugate().T, PAULI[k], format="csr")
+    return M
+
+
+@pytest.mark.parametrize("coupling,order,n", [
+    ("site", 2, 8), ("site", 4, 8), ("site", 4, 9),
+    ("link", 2, 8), ("link", 4, 8), ("link", 4, 9)])
+def test_assembly_matches_kron_reference_bitwise(coupling, order, n):
+    gs = GridSpec(L=2.0, n=n, order=order, coupling=coupling)
+    specs = [None, AXIAL, SWEEP_MODULATED, lossyau(),
+             gauged(hopfbase(1.0), "x1x2x3"), scaled(lossyau(), 0.0),
+             scaled(AXIAL, 0.0), scaled(hopfbase(1.0), -0.7)]
+    for spec in specs:
+        got, ref = assemble(gs, spec).matrix, _kron_assembly(gs, spec)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype, (spec, name)
+            # bytes, so that +0.0 and -0.0 differ too
+            assert a.tobytes() == b.tobytes(), (spec, name)
+
+
+@pytest.mark.parametrize("coupling", ["site", "link"])
+def test_scaling_sweep_matches_solves_of_assembled_operators(coupling):
+    gs = GridSpec(L=6.0, n=10, coupling=coupling)
+    ts = [0.0, 1.0, 3.0]    # t = 3 rounds t (a + b) / 2 unlike (t a + t b) / 2
+    res = scaling_sweep(SWEEP_MODULATED, ts, gs)
+    X0, sigmas, iterations, residuals = None, [], [], []
+    for t in ts:
+        sig, X0, its, eta = _sigma_min_block(
+            assemble(gs, scaled(SWEEP_MODULATED, t)), X0=X0)
+        sigmas.append(sig)
+        iterations.append(its)
+        residuals.append(eta)
+    assert res.sigma_mins.tobytes() == np.asarray(sigmas).tobytes()
+    assert res.iterations.tobytes() == np.asarray(iterations).tobytes()
+    assert res.residuals.tobytes() == np.asarray(residuals).tobytes()
 
 
 def test_free_sigma_min_matches_dense():
