@@ -28,10 +28,17 @@ from typing import Optional
 import numpy as np
 
 from .errors import FrameUndefined, NotSimpleRotation, ZeroField
-from .jets import jsqrt, partial, seed, value, vcross, vcurl, vnorm2
+from .jets import jsqrt, partial, seed, value, vcross, vnorm2
 
 EPS_FRAME = 1e-10     # absolute threshold below which frames are undefined
 EPS_CLASSIFY = 1e-9   # relative tolerance for classification decisions
+
+
+def frame_threshold(p: CkfParams) -> float:
+    """w and |Y| at or below which operators, orbits and holonomy of p have
+    no frame: EPS_FRAME relative to the field's scale."""
+    return EPS_FRAME * max(1.0, p.scale())
+
 
 _E3 = np.array([0.0, 0.0, 1.0])
 
@@ -345,19 +352,6 @@ def reconstruct(cf: CanonicalForm) -> CkfParams:
         return CkfParams(a=a, b0=-float(c @ x0), b=-np.stack(vcross(c, x0)),
                          c=c)
     raise ValueError(f"unknown kind {cf.kind!r}")
-
-
-def killing_residual_of_curl(p: CkfParams, x) -> float:
-    """max_ij |d_i Y_j + d_j Y_i| with Y = curl X, by forward-mode AD."""
-    xc = seed(np.asarray(x, float), order=2)
-    Y = vcurl(ckf_components(p, xc))
-    res = 0.0
-    for i in range(3):
-        for j in range(3):
-            dYj_i = value(partial(Y[j], i))
-            dYi_j = value(partial(Y[i], j))
-            res = max(res, float(np.max(np.abs(dYj_i + dYi_j))))
-    return res
 
 
 def cke_residual(p: CkfParams, x) -> float:

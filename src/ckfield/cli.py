@@ -28,12 +28,12 @@ from .grid import (SOLVE_TOL, GridSpec, assemble, free_sigma_min,
                    scaling_sweep, sigma_min, zeromode_residual_on_grid)
 from .holonomy import admissible_spectrum, transport
 from .identities import run_identity_suite, sample_points
-from .potentials import (axial, eval_field, eval_potential, hopfbase,
-                         lossyau, modulated, parent_field, smoothbump,
-                         spec_from_dict)
-from .spinops import commutator_residuals, norm_decomposition_check
+from .potentials import (axial, construct_losyau, eval_field, eval_potential,
+                         hopfbase, lossyau, modulated, parent_field,
+                         smoothbump, spec_from_dict)
+from .spinops import apply_D, commutator_residuals, norm_decomposition_check
 from .spinors import (SpinorField, bump_packet, from_dict as spinor_from_dict,
-                      gaussian_packet, losyau_mode)
+                      gaussian_packet, losyau_mode, losyau_psi, spinor_abs)
 from .quadrature import QuadBox
 
 PASS_TOL = {"loop": 1.0e-7, "commutator": 1.0e-9, "norm_rel": 1.0e-3,
@@ -115,6 +115,13 @@ def _parse_ts(s: str) -> np.ndarray:
         n = int(round((b - a) / step)) + 1
         return a + step * np.arange(n)
     return np.array([float(v) for v in s.split(",")])
+
+
+def _grid_spec(cfg: dict, **kw) -> GridSpec:
+    """GridSpec from --grid n,L and --stencil."""
+    n, L = str(cfg.get("grid", "24,6")).split(",")
+    return GridSpec(L=float(L), n=int(n), order=int(cfg.get("stencil", 4)),
+                    **kw)
 
 
 def _outdir(cfg: dict, sub: str) -> Path:
@@ -345,9 +352,7 @@ def _cmd_spectrum_sweep(cfg) -> int:
     spec = _parse_potential(cfg.get("potential"))
     if spec is None:
         raise ValueError("spectrum-sweep needs --potential")
-    n, L = (v for v in str(cfg.get("grid", "24,6")).split(","))
-    gs = GridSpec(L=float(L), n=int(n), order=int(cfg.get("stencil", 4)),
-                  coupling=str(cfg.get("coupling", "site")))
+    gs = _grid_spec(cfg, coupling=str(cfg.get("coupling", "site")))
     ts = _parse_ts(str(cfg.get("ts", "0:20:1")))
     tol = float(cfg.get("tol", SOLVE_TOL))
     seed = int(cfg.get("seed", 0))
@@ -371,22 +376,17 @@ def _cmd_spectrum_sweep(cfg) -> int:
 
 
 def _cmd_control_losyau(cfg) -> int:
-    n, L = (v for v in str(cfg.get("grid", "24,6")).split(","))
-    gs = GridSpec(L=float(L), n=int(n), order=int(cfg.get("stencil", 4)))
+    gs = _grid_spec(cfg)
     seed = int(cfg.get("seed", 0))
     npts = int(cfg.get("points", 1000))
     d = _outdir(cfg, "control-losyau")
-    from .potentials import construct_losyau
     spec, mode = construct_losyau(n_points=npts, rng_seed=seed)
 
-    from .spinops import apply_D
-    from .spinors import losyau_psi
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(3, npts), scale=1.5)
     Dv = apply_D(spec, mode, pts)
-    psi = np.stack([np.asarray(v) for v in losyau_psi([pts[0], pts[1], pts[2]])])
-    cont = float((np.sqrt((np.abs(Dv) ** 2).sum(0))
-                  / np.sqrt((np.abs(psi) ** 2).sum(0))).max())
+    psi = losyau_psi([pts[0], pts[1], pts[2]])
+    cont = float((spinor_abs(Dv) / spinor_abs(psi)).max())
 
     ns = [int(v) for v in str(cfg.get("ns", "16,24")).split(",")]
     rows = []
@@ -436,17 +436,30 @@ def _cmd_field_eval(cfg) -> int:
     return 0
 
 
+# subcommand -> (handler, required options, further options); each option
+# is a config key, given on the command line as --key with "_" written "-"
 _SUBCOMMANDS = {
-    "classify": (_cmd_classify, ("ckf",)),
-    "verify-identities": (_cmd_verify_identities, ("ckf",)),
-    "field-lines": (_cmd_field_lines, ("ckf", "seed_point")),
-    "loop-integrals": (_cmd_loop_integrals, ("ckf", "seed_point")),
-    "verify-operators": (_cmd_verify_operators, ("ckf",)),
-    "holonomy": (_cmd_holonomy, ("ckf", "orbit_seed")),
-    "spectrum-sweep": (_cmd_spectrum_sweep, ("potential",)),
-    "control-losyau": (_cmd_control_losyau, ()),
-    "field-eval": (_cmd_field_eval, ("at",)),
+    "classify": (_cmd_classify, ("ckf",), ()),
+    "verify-identities": (_cmd_verify_identities, ("ckf",), ("points",)),
+    "field-lines": (_cmd_field_lines, ("ckf", "seed_point"),
+                    ("t_max", "rk_tol", "max_rows")),
+    "loop-integrals": (_cmd_loop_integrals, ("ckf", "seed_point"),
+                       ("potential",)),
+    "verify-operators": (_cmd_verify_operators, ("ckf",),
+                         ("potential", "spinor", "points", "quadrature",
+                          "box")),
+    "holonomy": (_cmd_holonomy, ("ckf", "orbit_seed"),
+                 ("potential", "lambdas")),
+    "spectrum-sweep": (_cmd_spectrum_sweep, ("potential",),
+                       ("grid", "stencil", "coupling", "ts", "tol")),
+    "control-losyau": (_cmd_control_losyau, (),
+                       ("grid", "stencil", "ns", "points", "tol")),
+    "field-eval": (_cmd_field_eval, ("at",), ("ckf", "potential")),
 }
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -456,29 +469,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "verification, orbit holonomy, and zero-mode probes.")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, *flags):
+    for name, (_, required, further) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON file with a full RunConfig; "
                                          "explicit flags override it")
         sp.add_argument("--outdir")
         sp.add_argument("--seed", type=int)
-        for f in flags:
-            sp.add_argument(f)
-        return sp
-
-    add("classify", "--ckf")
-    add("verify-identities", "--ckf", "--points")
-    add("field-lines", "--ckf", "--seed-point", "--t-max", "--rk-tol",
-        "--max-rows")
-    add("loop-integrals", "--ckf", "--seed-point", "--potential")
-    add("verify-operators", "--ckf", "--potential", "--spinor", "--points",
-        "--quadrature", "--box")
-    add("holonomy", "--ckf", "--potential", "--orbit-seed", "--lambdas")
-    add("spectrum-sweep", "--potential", "--grid", "--stencil", "--coupling",
-        "--ts", "--tol")
-    add("control-losyau", "--grid", "--stencil", "--ns", "--points", "--tol")
-    add("field-eval", "--ckf", "--potential", "--at")
+        for key in required + further:
+            sp.add_argument(_flag(key))
     return ap
 
 
@@ -501,13 +499,13 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    fn, required = _SUBCOMMANDS[args.subcommand]
+    fn, required, _ = _SUBCOMMANDS[args.subcommand]
     try:
         cfg = _resolve_config(args)
         missing = [r for r in required if cfg.get(r) in (None, "")]
         if missing:
             print(f"error: missing required option(s): "
-                  + ", ".join("--" + m.replace("_", "-") for m in missing),
+                  + ", ".join(_flag(m) for m in missing),
                   file=sys.stderr)
             return 2
         return fn(cfg)

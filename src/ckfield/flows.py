@@ -18,6 +18,10 @@ rule then has error O(rho^N), and the trace carries its N = max(64,
 ceil(ln eps / ln rho)) equispaced nodes with weights tau/N, eps below
 double roundoff.  Orbits hugging the degenerate circle (rho near 1) get
 more nodes: a few hundred at rho = 0.9.
+
+`loop_integrals` and `planarity_and_curvature` read X, w, div X, Y, A and
+the jets of X from a `potentials._Field` context on the trace nodes;
+`integrate_curve` needs w above `ckf.frame_threshold(p)` at the start.
 """
 
 from __future__ import annotations
@@ -28,12 +32,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .ckf import (CkfParams, EPS_FRAME, ckf_components, classify, div_ckf,
-                  eval_ckf, eval_ckf_curl)
+from .ckf import (CkfParams, EPS_FRAME, classify, eval_ckf, eval_ckf_curl,
+                  frame_threshold)
 from .errors import (BlowUp, FrameUndefined, IntegrationFailed,
                      NotAdmissible, NotClosed, NotSimpleRotation, ZeroField)
-from .jets import partial, seed, value, vcross
-from .potentials import PotentialSpec, eval_potential
+from .jets import partial, seed, value, vcross, vdot
+from .potentials import PotentialSpec, _Field
 from .quadrature import periodic_trapezoid
 
 __all__ = [
@@ -190,7 +194,7 @@ def integrate_curve(p: CkfParams, x0, t_max: Optional[float] = None,
     x0 = np.asarray(x0, dtype=float).reshape(3)
     X0 = eval_ckf(p, x0)
     w0 = float(np.linalg.norm(X0))
-    if w0 <= EPS_FRAME * max(1.0, p.scale()):
+    if w0 <= frame_threshold(p):
         raise FrameUndefined("starting point is (numerically) a zero of X")
     nhat = X0 / w0
 
@@ -263,16 +267,13 @@ def loop_integrals(trace: CurveTrace, p: CkfParams,
     """(∮ div X dt, ∮ |Y| dt, ∮ X.A dt) over one period."""
     if not trace.closed:
         raise NotClosed("loop integrals need a closed curve")
-    xs, wts = trace.xs, trace.weights
-    xc = [xs[0], xs[1], xs[2]]
-    int_div = float(wts @ np.asarray(div_ckf(p, xc)))
-    Y = eval_ckf_curl(p, xs)
-    int_absY = float(wts @ np.sqrt((Y ** 2).sum(axis=0)))
+    wts = trace.weights
+    ctx = _Field(p, spec, trace.xs)
+    int_div = float(wts @ ctx.divX)
+    int_absY = float(wts @ ctx.abs_curl())
     int_flux = None
     if spec is not None:
-        X = eval_ckf(p, xs)
-        A = eval_potential(spec, xs)
-        int_flux = float(wts @ (X * A).sum(axis=0))
+        int_flux = float(wts @ vdot(ctx.X, ctx.A))
     return LoopIntegrals(int_div, int_absY, int_flux)
 
 
@@ -289,17 +290,15 @@ def planarity_and_curvature(trace: CurveTrace, p: CkfParams):
     xs = trace.xs
     dev = np.abs((xs - trace.x0[:, None]).T @ trace.plane_normal)
 
-    xc = seed(xs, order=1)
-    Xj = ckf_components(p, xc)
-    Xv = np.stack([value(c) for c in Xj])
-    gX = np.stack([np.stack([value(partial(Xj[j], i)) for j in range(3)])
+    ctx = _Field(p, None, seed(xs, order=1))
+    Xv = np.stack([value(c) for c in ctx.X])
+    gX = np.stack([np.stack([partial(ctx.X[j], i) for j in range(3)])
                    for i in range(3)])            # gX[i, j] = d_i X_j
     gamma2 = np.einsum("in,ijn->jn", Xv, gX)
     cross = np.stack(vcross(Xv, gamma2))
-    w = np.sqrt((Xv ** 2).sum(axis=0))
+    w = value(ctx.w)
     kappa = np.sqrt((cross ** 2).sum(axis=0)) / w ** 3
-    Y = eval_ckf_curl(p, xs)
-    kappa_ref = np.sqrt((Y ** 2).sum(axis=0)) / (2.0 * w)
+    kappa_ref = ctx.abs_curl() / (2.0 * w)
     return float(dev.max()), float(np.abs(kappa - kappa_ref).max())
 
 

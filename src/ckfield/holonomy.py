@@ -15,6 +15,12 @@ geometric piece, and the two contributions combine to the scalar above.
 We recompute the per-sector coefficient <e_pm, Q e_pm> exactly (jets, with
 the x-dependence of e_pm included) and require both sectors to reproduce
 the scalar integrand; this validates the decoupling rather than assuming it.
+
+X, w, div X, Y and A come from one `potentials._Field` context per call:
+`admissible_spectrum` seeds it at order 1 and reads the phase integrand
+(order-0 view) and the sector coefficients from it; `phase_integrand` and
+`transport` build it on plain nodes.  Frames need w and |Y| above
+`ckf.frame_threshold(p)`.
 """
 
 from __future__ import annotations
@@ -24,12 +30,12 @@ from typing import Optional
 
 import numpy as np
 
-from .ckf import CkfParams, EPS_FRAME, div_ckf, eval_ckf, eval_ckf_curl
+from .ckf import CkfParams, frame_threshold
 from .errors import FrameUndefined, NotClosed, SectorMismatch
 from .flows import CurveTrace
-from .jets import seed, value
-from .potentials import PotentialSpec, eval_potential
-from .spinops import _Field, _P_core, _Q_core
+from .jets import seed, value, vdot
+from .potentials import PotentialSpec, _Field
+from .spinops import _P_core, _Q_core
 from .spinors import spinor_inner
 
 __all__ = ["HolonomyResult", "phase_integrand", "transport",
@@ -66,29 +72,23 @@ class HolonomyResult:
         return out
 
 
-def _frame_values(p: CkfParams, trace: CurveTrace):
-    xs = trace.xs
-    X = eval_ckf(p, xs)
-    w = np.sqrt((X ** 2).sum(axis=0))
-    Y = eval_ckf_curl(p, xs)
-    absY = np.sqrt((Y ** 2).sum(axis=0))
-    s = max(1.0, p.scale())
-    if w.min() <= EPS_FRAME * s or absY.min() <= EPS_FRAME * s:
+def _phase_values(p: CkfParams, ctx: _Field) -> np.ndarray:
+    # |Y|/4 - (2i/3) div X - X.A from the context's order-0 view
+    c = ctx.at(0)
+    absY = c.abs_curl()
+    eps = frame_threshold(p)
+    if np.min(value(c.w)) <= eps or np.min(absY) <= eps:
         raise FrameUndefined("orbit leaves {w > 0, |Y| > 0}")
-    return X, w, Y, absY
+    vals = 0.25 * absY - (2.0 / 3.0) * 1j * value(c.divX)
+    if c.A is not None:
+        vals = vals - value(vdot(c.X, c.A))
+    return vals
 
 
 def phase_integrand(p: CkfParams, spec: Optional[PotentialSpec],
                     trace: CurveTrace) -> np.ndarray:
     """|Y|/4 - (2i/3) div X - X.A at the trace nodes (complex array)."""
-    X, w, Y, absY = _frame_values(p, trace)
-    xs = trace.xs
-    div = div_ckf(p, xs)
-    vals = 0.25 * absY - (2.0 / 3.0) * 1j * div
-    if spec is not None:
-        A = eval_potential(spec, xs)
-        vals = vals - (X * A).sum(axis=0)
-    return vals
+    return _phase_values(p, _Field(p, spec, trace.xs))
 
 
 def transport(p: CkfParams, spec: Optional[PotentialSpec],
@@ -108,8 +108,8 @@ def frame_spinor(p: CkfParams, x):
     ctx = _Field(p, None, np.asarray(x, dtype=float).reshape(3))
     Y = np.array(ctx.Y)
     absY = float(np.linalg.norm(Y))
-    s = max(1.0, p.scale())
-    if ctx.w <= EPS_FRAME * s or absY <= EPS_FRAME * s:
+    eps = frame_threshold(p)
+    if ctx.w <= eps or absY <= eps:
         raise FrameUndefined("frame spinors need w > 0 and |Y| > 0")
     e0 = _e0_from_normal(Y / absY)
     return (np.array(_P_core(ctx, e0, +1)), np.array(_P_core(ctx, e0, -1)))
@@ -124,18 +124,16 @@ def _e0_from_normal(N):
     return (complex(N[0], -N[1]) * r, complex((1.0 - N[2]) * r))
 
 
-def _sector_coefficients(p: CkfParams, spec: Optional[PotentialSpec],
-                         trace: CurveTrace):
+def _sector_coefficients(ctx: _Field, trace: CurveTrace):
     """<e_pm, Q e_pm> / |e_pm|^2 at every node, with e_pm(x) = P_pm(x) e0.
 
     e0 is fixed from the orbit's plane normal; the x-dependence of the
     projections is differentiated exactly, so the geometric transport term
-    is included.
+    is included.  ctx holds the trace nodes seeded at order 1.
     """
     if trace.plane_normal is None:
         raise FrameUndefined("trace has no plane normal")
     e0 = _e0_from_normal(trace.plane_normal)
-    ctx = _Field(p, spec, seed(trace.xs, order=1))
     out = []
     for sign in (+1, -1):
         E = _P_core(ctx, e0, sign)
@@ -155,7 +153,8 @@ def admissible_spectrum(p: CkfParams, spec: Optional[PotentialSpec],
     """
     if not trace.closed:
         raise NotClosed("spectrum needs a closed orbit")
-    vals = phase_integrand(p, spec, trace)
+    ctx = _Field(p, spec, seed(trace.xs, order=1))
+    vals = _phase_values(p, ctx)
     tau = trace.period
     phase = complex(trace.weights @ vals)
     step = 2.0 * np.pi / tau
@@ -163,7 +162,7 @@ def admissible_spectrum(p: CkfParams, spec: Optional[PotentialSpec],
     residual = abs(offset - 0.5 * step)
     mono0 = complex(np.exp(-1j * phase))
 
-    cp, cm = _sector_coefficients(p, spec, trace)
+    cp, cm = _sector_coefficients(ctx, trace)
     mono_p = complex(np.exp(-1j * (trace.weights @ cp)))
     mono_m = complex(np.exp(-1j * (trace.weights @ cm)))
     mismatch = abs(mono_p - mono_m)

@@ -35,12 +35,13 @@ from typing import Optional
 
 import numpy as np
 
-from .ckf import CkfParams, eval_ckf, field_ro, field_cr, field_iso
-from .errors import ConstructionFailed, FrameUndefined
-from .jets import (seed, value, derivative, partial, jexp, jsqrt, jsin,
-                   jcos, jreal, jimag, vcross, vcurl)
-from .spinors import (losyau_mode, losyau_psi, sigma_apply, spinor_inner,
-                      smooth_bump_scalar)
+from .ckf import (CkfParams, EPS_FRAME, eval_ckf, field_ro, field_cr,
+                  field_iso, frame_quantities)
+from .errors import ConstructionFailed, FrameUndefined, NotParallel
+from .jets import (seed, value, derivative, order, partial, truncate, jexp,
+                   jsqrt, jsin, jcos, jreal, jimag, vcross, vcurl, vnorm2)
+from .spinors import (_D_core, losyau_mode, losyau_psi, sigma_apply,
+                      spinor_abs, spinor_inner, smooth_bump_scalar)
 
 __all__ = [
     "Profile", "smoothbump", "gaussian", "polynomial", "constant",
@@ -375,6 +376,69 @@ def parallelism_residual(spec: PotentialSpec, x):
                               eval_ckf(parent_field(spec), x))
 
 
+# -- the field context -----------------------------------------------------
+
+class _Field:
+    """X, w = |X|, div X, Y = curl X, 1/w and A on one point batch xc
+    (seeded jets or plain coordinates; A is None without a potential).
+
+    Every consumer reads it: the spinor-operator cores, holonomy, the loop
+    integrals, planarity and f w^3 along orbits.
+    """
+
+    __slots__ = ("X", "w", "divX", "Y", "invw", "A", "order", "_views",
+                 "__weakref__")
+
+    def __init__(self, p: CkfParams, spec: Optional[PotentialSpec], xc):
+        # w and 1/w are singular where X vanishes; Q is not, and the S, P and
+        # Dw callers reject such points before they use w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.X, self.w, self.divX, self.Y = frame_quantities(p, xc)
+            self.invw = 1.0 / self.w
+        self.A = None if spec is None else potential_components(spec, xc)
+        self.order = order(xc[0])
+        self._views = {}
+
+    def at(self, m: int) -> "_Field":
+        """This context truncated to derivative order m, cached per order.
+
+        A view gets a dict of its own: one that held its parent's would
+        form a reference cycle, and every slab's arrays would then live
+        until the cyclic garbage collector ran.
+        """
+        if m >= self.order:
+            return self
+        view = self._views.get(m)
+        if view is None:
+            view = object.__new__(_Field)
+            view.X = [truncate(c, m) for c in self.X]
+            view.Y = [truncate(c, m) for c in self.Y]
+            view.w, view.divX, view.invw = (
+                truncate(self.w, m), truncate(self.divX, m),
+                truncate(self.invw, m))
+            view.A = None if self.A is None else [truncate(c, m)
+                                                  for c in self.A]
+            view.order = m
+            view._views = {}
+            self._views[m] = view
+        return view
+
+    def abs_curl(self) -> np.ndarray:
+        """|Y| at the batch's points."""
+        return np.sqrt(value(vnorm2(self.at(0).Y)))
+
+    def check_parallel(self):
+        """Raise NotParallel unless B = curl A is parallel to X on the batch;
+        B comes from the gradient of the A jets, so xc must be seeded."""
+        if self.A is None:
+            return
+        X = np.stack([np.asarray(value(c), dtype=float) for c in self.X])
+        res = float(np.max(_parallel_residual(self.A, X)))
+        if res > PARALLEL_TOL:
+            raise NotParallel(f"B = curl A is not parallel to X "
+                              f"(residual {res:.3e} > {PARALLEL_TOL:g})")
+
+
 # -- the positive control --------------------------------------------------
 
 def losyau_potential_from_mode(psi, t):
@@ -407,10 +471,7 @@ def construct_losyau(n_points: int = 1000, rng_seed: int = 7,
     rng = np.random.default_rng(rng_seed)
     pts = rng.normal(scale=1.5, size=(3, n_points))
     psi = losyau_psi(seed(pts, order=1))
-    grads = [[derivative(c, k) for k in range(3)] for c in psi]
-    # sigma.(-i grad) psi, assembled column by column
-    t = [(-1j) * grads[0][2] + (-1j) * grads[1][0] - grads[1][1],
-         (-1j) * grads[0][0] + grads[0][1] + 1j * grads[1][2]]
+    t = _D_core(None, psi)      # sigma.(-i grad) psi
 
     comps, max_imag = losyau_potential_from_mode(psi, t)
     spec = lossyau()
@@ -419,12 +480,8 @@ def construct_losyau(n_points: int = 1000, rng_seed: int = 7,
     mismatch = max(float(np.max(np.abs(value(c) - cc)))
                    for c, cc in zip(comps, closed)) / scale
 
-    Apsi = sigma_apply([value(c) for c in closed],
-                       [value(psi[0]), value(psi[1])])
-    res = np.sqrt(np.abs(value(t[0]) - Apsi[0]) ** 2
-                  + np.abs(value(t[1]) - Apsi[1]) ** 2)
-    norm = np.sqrt(np.abs(value(psi[0])) ** 2 + np.abs(value(psi[1])) ** 2)
-    dirac_residual = float(np.max(res / norm))
+    dirac_residual = float(np.max(spinor_abs(_D_core(closed, psi))
+                                  / spinor_abs(psi)))
 
     par = float(np.max(parallelism_residual(spec, pts)))
 
@@ -438,18 +495,18 @@ def construct_losyau(n_points: int = 1000, rng_seed: int = 7,
 
 # -- along-orbit invariant -------------------------------------------------
 
-def fw3_along_curve(spec: PotentialSpec, trace, eps_frame: float = 1.0e-10):
+def fw3_along_curve(spec: PotentialSpec, trace):
     """f w^3 at the trace samples, with B = f X; constant on integral curves.
 
     Accepts a CurveTrace or a bare (3, N) array of points.  Returns
     (values, spread) with spread = max - min.
     """
     xs = np.asarray(getattr(trace, "xs", trace), dtype=float)
-    p = parent_field(spec)
-    X = eval_ckf(p, xs)
-    w2 = (X ** 2).sum(axis=0)
-    if np.any(w2 <= eps_frame ** 2):
+    ctx = _Field(parent_field(spec), spec, seed(xs, order=1))
+    w = value(ctx.w)
+    if np.any(w <= EPS_FRAME):
         raise FrameUndefined("trace sample with w below the frame threshold")
-    B = eval_field(spec, xs)
-    values = (B * X).sum(axis=0) * np.sqrt(w2)   # f w^3 = (B.X) w
+    B = _field_values(ctx.A, xs.shape[1:])
+    X = np.stack([value(c) for c in ctx.X])
+    values = (B * X).sum(axis=0) * w        # f w^3 = (B.X) w
     return values, float(values.max() - values.min())

@@ -11,14 +11,13 @@ All derivatives come from forward-mode jets; the commutator identities need
 second derivatives, so their inputs are seeded at order 2 and each operator
 application consumes one order.  Nothing here is ever finite-differenced.
 
-Each operator exists once, as a core on jets.  The cores read one field
-context per seeded point batch (X, w, div X, Y, 1/w and A, evaluated once);
-the public operators, the commutator residuals, the norm decomposition's
-z-slabs and the holonomy sector coefficients all build that context and
-share the cores.  The check that B = curl A is parallel to X, which Q and
-the commutator residuals need, takes B from the gradient of the context's
-A jets and the residual from `potentials`, so each call evaluates the
-potential once.
+Each operator exists once, as a core on jets (D is `spinors._D_core`).
+The cores read the field context `potentials._Field` (X, w, div X, Y, 1/w
+and A, evaluated once per point batch), which `holonomy` and `flows` read
+too.  Its parallelism check, which Q and the commutator residuals need,
+takes B = curl A from the gradient of the context's A jets, so each call
+evaluates the potential once.  S, P_pm and the commutator identities need
+w above `ckf.frame_threshold(p)`.
 
 Every product runs at the derivative order its result carries.  A core
 reads the context truncated to that order (`_Field.at`): D, Q and D_w
@@ -37,15 +36,15 @@ from typing import Optional
 
 import numpy as np
 
-from .ckf import (CkfParams, EPS_FRAME, eval_ckf, frame_quantities,
-                  is_simple_rotation, simple_rotation_residual)
-from .errors import (FrameUndefined, NotParallel, NotSimpleRotation,
-                     SupportViolation)
-from .jets import derivative, order, seed, truncate, value, vdot
-from .potentials import (PARALLEL_TOL, PotentialSpec, _as_batch,
-                         _parallel_residual, potential_components)
+from .ckf import (CkfParams, eval_ckf, frame_threshold, is_simple_rotation,
+                  simple_rotation_residual)
+from .errors import FrameUndefined, NotSimpleRotation, SupportViolation
+from .jets import seed, value, vdot
+from .potentials import (PotentialSpec, _as_batch, _Field,
+                         potential_components)
 from .quadrature import QuadBox, box_axes
-from .spinors import SpinorField, eval_spinor, sigma_apply, spinor_abs
+from .spinors import (SpinorField, _D_core, _covariant, _order, eval_spinor,
+                      sigma_apply, spinor_abs)
 
 __all__ = [
     "apply_D", "apply_Q", "apply_S", "commutator_residuals",
@@ -54,74 +53,6 @@ __all__ = [
 ]
 
 # -- pointwise cores on jets ------------------------------------------------
-
-class _Field:
-    """X, w = |X|, div X, Y = curl X, 1/w and A on one seeded point batch."""
-
-    __slots__ = ("X", "w", "divX", "Y", "invw", "A", "order", "_views",
-                 "__weakref__")
-
-    def __init__(self, p: CkfParams, spec: Optional[PotentialSpec], xc):
-        # w and 1/w are singular where X vanishes; Q is not, and the S, P and
-        # Dw callers reject such points before they use w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.X, self.w, self.divX, self.Y = frame_quantities(p, xc)
-            self.invw = 1.0 / self.w
-        self.A = None if spec is None else potential_components(spec, xc)
-        self.order = order(xc[0])
-        self._views = {}
-
-    def at(self, m: int) -> "_Field":
-        """This context truncated to derivative order m, cached per order.
-
-        A view gets a dict of its own: one that held its parent's would
-        form a reference cycle, and every slab's arrays would then live
-        until the cyclic garbage collector ran.
-        """
-        if m >= self.order:
-            return self
-        view = self._views.get(m)
-        if view is None:
-            view = object.__new__(_Field)
-            view.X = [truncate(c, m) for c in self.X]
-            view.Y = [truncate(c, m) for c in self.Y]
-            view.w, view.divX, view.invw = (
-                truncate(self.w, m), truncate(self.divX, m),
-                truncate(self.invw, m))
-            view.A = None if self.A is None else [truncate(c, m)
-                                                  for c in self.A]
-            view.order = m
-            view._views = {}
-            self._views[m] = view
-        return view
-
-
-def _order(F):
-    return min(order(F[0]), order(F[1]))
-
-
-def _covariant(A, F):
-    # [(-i d_k - A_k) F for k = 1, 2, 3], at one order below F
-    m = _order(F) - 1
-    Fm = [truncate(F[0], m), truncate(F[1], m)]
-    out = []
-    for k in range(3):
-        t0 = -1j * derivative(F[0], k)
-        t1 = -1j * derivative(F[1], k)
-        if A is not None:
-            Ak = truncate(A[k], m)
-            t0 = t0 - Ak * Fm[0]
-            t1 = t1 - Ak * Fm[1]
-        out.append((t0, t1))
-    return out
-
-
-def _D_core(A, F):
-    # sum_k sigma_k ((-i d_k - A_k) F)
-    T = _covariant(A, F)
-    return [T[0][1] - 1j * T[1][1] + T[2][0],
-            T[0][0] + 1j * T[1][0] - T[2][1]]
-
 
 def _Q_core(ctx: _Field, F):
     c = ctx.at(_order(F) - 1)
@@ -157,18 +88,8 @@ def _spinor_values(F):
 
 # -- pointwise public API ----------------------------------------------------
 
-def _check_parallel(ctx: _Field):
-    if ctx.A is None:
-        return
-    X = np.stack([np.asarray(value(c), dtype=float) for c in ctx.X])
-    res = float(np.max(_parallel_residual(ctx.A, X)))
-    if res > PARALLEL_TOL:
-        raise NotParallel(f"B = curl A is not parallel to X "
-                          f"(residual {res:.3e} > {PARALLEL_TOL:g})")
-
-
 def _check_frame(p: CkfParams, ctx: _Field, msg: str):
-    if np.min(value(ctx.w)) <= EPS_FRAME * max(1.0, p.scale()):
+    if np.min(value(ctx.w)) <= frame_threshold(p):
         raise FrameUndefined(msg)
 
 
@@ -187,7 +108,7 @@ def apply_Q(p: CkfParams, spec: Optional[PotentialSpec], f: SpinorField,
     xc = seed(x, order=1)
     ctx = _Field(p, spec, xc)
     F = eval_spinor(f, xc)
-    _check_parallel(ctx)
+    ctx.check_parallel()
     return _spinor_values(_Q_core(ctx, F))
 
 
@@ -208,7 +129,7 @@ def commutator_residuals(p: CkfParams, spec: Optional[PotentialSpec],
     xc = seed(x, order=2)
     ctx = _Field(p, spec, xc)
     F = eval_spinor(f, xc)
-    _check_parallel(ctx)
+    ctx.check_parallel()
     _check_frame(p, ctx, "commutator identities live in {w > 0}")
 
     QF = _Q_core(ctx, F)
@@ -236,9 +157,13 @@ def _support_scan(p: CkfParams, f: SpinorField, grid: QuadBox):
     gy = np.linspace(y_lo, y_hi, m)
     gz = np.linspace(z_lo, z_hi, m)
     pts = np.stack(np.meshgrid(gx, gy, gz, indexing="ij")).reshape(3, -1)
-    mags = np.sqrt((np.abs(np.stack([np.asarray(value(c), complex) + 0.0 * pts[0]
-                                     for c in eval_spinor(f, [pts[0], pts[1], pts[2]])]))
-                    ** 2).sum(axis=0))
+
+    def mag(q):
+        # + 0.0 * q[0] broadcasts a constant spinor over the points
+        return spinor_abs([value(c) + 0.0 * q[0]
+                           for c in eval_spinor(f, [q[0], q[1], q[2]])])
+
+    mags = mag(pts)
     peak = float(mags.max())
 
     faces = []
@@ -254,11 +179,7 @@ def _support_scan(p: CkfParams, f: SpinorField, grid: QuadBox):
             rest = [i for i in range(3) if i != axis]
             q[rest[0]], q[rest[1]] = U.ravel(), V.ravel()
             faces.append(np.stack(q))
-    fp = np.concatenate(faces, axis=1)
-    fm = np.sqrt((np.abs(np.stack([np.asarray(value(c), complex) + 0.0 * fp[0]
-                                   for c in eval_spinor(f, [fp[0], fp[1], fp[2]])]))
-                  ** 2).sum(axis=0))
-    boundary_peak = float(fm.max())
+    boundary_peak = float(mag(np.concatenate(faces, axis=1)).max())
 
     on_supp = mags > 1.0e-9 * max(peak, 1.0e-300)
     w = np.sqrt((eval_ckf(p, pts[:, on_supp]) ** 2).sum(axis=0))

@@ -16,6 +16,9 @@ operator needs them.  The families:
 Pauli convention: sigma_1, sigma_2, sigma_3 standard, so for a vector v
 
     sigma.v = [[v3, v1 - i v2], [v1 + i v2, -v3]].
+
+`_D_core`, sigma.(-i grad - A) on jets, is shared by `spinops` and
+`potentials.construct_losyau`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .jets import jexp, jconj, jwhere, value
+from .jets import derivative, jexp, jconj, jwhere, order, truncate, value
 
 __all__ = [
     "SpinorField", "gaussian_packet", "bump_packet", "losyau_mode", "custom",
@@ -44,6 +47,34 @@ def sigma_apply(v, s):
     """(sigma . v) s for a 3-vector v and spinor s of jets or numbers."""
     return [v[2] * s[0] + (v[0] - 1j * v[1]) * s[1],
             (v[0] + 1j * v[1]) * s[0] - v[2] * s[1]]
+
+
+def _order(F):
+    return min(order(F[0]), order(F[1]))
+
+
+def _covariant(A, F):
+    # [(-i d_k - A_k) F for k = 1, 2, 3], at one order below F
+    m = _order(F) - 1
+    Fm = [truncate(F[0], m), truncate(F[1], m)]
+    out = []
+    for k in range(3):
+        t0 = -1j * derivative(F[0], k)
+        t1 = -1j * derivative(F[1], k)
+        if A is not None:
+            Ak = truncate(A[k], m)
+            t0 = t0 - Ak * Fm[0]
+            t1 = t1 - Ak * Fm[1]
+        out.append((t0, t1))
+    return out
+
+
+def _D_core(A, F):
+    """sigma.(-i grad - A) F on jets, one derivative order below F; A is a
+    list of jets or arrays, or None for the free operator."""
+    T = _covariant(A, F)
+    return [T[0][1] - 1j * T[1][1] + T[2][0],
+            T[0][0] + 1j * T[1][0] - T[2][1]]
 
 
 def spinor_inner(a, b):
@@ -80,13 +111,6 @@ class SpinorField:
     u_range: Optional[tuple] = None
     z_range: Optional[tuple] = None
     fn: Optional[Callable] = None
-
-    def bbox(self):
-        """Axis-aligned support box (lo, hi) per axis, or None if unbounded."""
-        if self.kind == "bump_packet":
-            r = float(np.sqrt(self.u_range[1]))
-            return ((-r, r), (-r, r), tuple(self.z_range))
-        return None
 
     def to_dict(self) -> dict:
         if self.kind == "custom":

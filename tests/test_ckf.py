@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from ckfield.ckf import (CkfParams, classify, cke_residual, eval_ckf,
                          field_cr, field_iso, field_ro, field_ud, frame_at,
                          frame_quantities, is_simple_rotation, jacobian_ckf,
-                         killing_residual_of_curl, laplacian_ckf, reconstruct,
-                         simple_rotation_residual)
+                         laplacian_ckf, reconstruct, simple_rotation_residual)
 from ckfield.errors import FrameUndefined, NotSimpleRotation, ZeroField
+from ckfield.identities import check_identity
 from ckfield.jets import seed, value
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
@@ -110,12 +110,15 @@ def test_conformal_killing_equation(a, b0, b, c, x):
 def test_curl_is_killing(a, b0, b, c, x):
     p = _params(a, b0, b, c)
     scale = max(p.scale(), 1.0)
-    assert killing_residual_of_curl(p, np.asarray(x)) <= 1e-12 * scale
+    res = check_identity("curl_is_killing", p, np.asarray(x)).residual
+    assert res <= 1e-12 * scale
 
 
 def test_curl_killing_examples():
-    assert killing_residual_of_curl(field_ro(), (5.0, -2.0, 1.0)) == 0.0
-    assert killing_residual_of_curl(field_cr(1.0), (1.0, 2.0, 3.0)) < 1e-12
+    assert check_identity("curl_is_killing", field_ro(),
+                          (5.0, -2.0, 1.0)).residual == 0.0
+    assert check_identity("curl_is_killing", field_cr(1.0),
+                          (1.0, 2.0, 3.0)).residual < 1e-12
 
 
 # -- simple-rotation condition ------------------------------------------------
