@@ -19,7 +19,8 @@ the scalar integrand; this validates the decoupling rather than assuming it.
 X, w, div X, Y and A come from one `potentials._Field` context per call:
 `admissible_spectrum` seeds it at order 1 and reads the phase integrand
 (order-0 view) and the sector coefficients from it; `phase_integrand` and
-`transport` build it on plain nodes.  Frames need w and |Y| above
+`transport` need no derivatives and read the same integrand, bit for bit,
+from the unseeded nodes.  Frames need w and |Y| above
 `ckf.frame_threshold(p)`.
 """
 
@@ -35,7 +36,7 @@ from .errors import FrameUndefined, NotClosed, SectorMismatch
 from .flows import CurveTrace
 from .jets import seed, value, vdot
 from .potentials import PotentialSpec, _Field
-from .spinops import _P_core, _Q_core
+from .spinops import _P_pair, _Q_core
 from .spinors import spinor_inner
 
 __all__ = ["HolonomyResult", "phase_integrand", "transport",
@@ -112,7 +113,7 @@ def frame_spinor(p: CkfParams, x):
     if ctx.w <= eps or absY <= eps:
         raise FrameUndefined("frame spinors need w > 0 and |Y| > 0")
     e0 = _e0_from_normal(Y / absY)
-    return (np.array(_P_core(ctx, e0, +1)), np.array(_P_core(ctx, e0, -1)))
+    return tuple(np.array(E) for E in _P_pair(ctx, e0))
 
 
 def _e0_from_normal(N):
@@ -135,8 +136,7 @@ def _sector_coefficients(ctx: _Field, trace: CurveTrace):
         raise FrameUndefined("trace has no plane normal")
     e0 = _e0_from_normal(trace.plane_normal)
     out = []
-    for sign in (+1, -1):
-        E = _P_core(ctx, e0, sign)
+    for E in _P_pair(ctx, e0):
         num = value(spinor_inner(E, _Q_core(ctx, E)))
         den = value(spinor_inner(E, E)).real
         out.append(np.asarray(num) / np.asarray(den))

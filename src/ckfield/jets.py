@@ -11,6 +11,11 @@ Values may be real or complex and may carry trailing batch axes: seeding a
 points in one vectorized pass.  Only the operations the analytic families
 actually need are implemented.
 
+A jet's value is the plain value: every operation computes its value part
+by the same floating-point expression as on plain arrays (the value of
+a / b is the true quotient, not a times a rounded 1/b), so an expression
+evaluated on seeded jets and on plain points gives the same bits.
+
 A jet has order 2 (value, gradient, Hessian), 1 (no Hessian) or 0 (a bare
 value whose derivatives were used up, `Jet(f, None)`).  Arithmetic between
 jets runs at the lower order, so a missing gradient or Hessian is
@@ -26,7 +31,7 @@ import numpy as np
 
 __all__ = [
     "Jet", "seed", "value", "order", "truncate", "derivative", "partial",
-    "jsqrt", "jexp", "jlog", "jsin", "jcos", "jatan2",
+    "jsqrt", "jexp", "jsin", "jcos",
     "jwhere", "jreal", "jimag", "jconj",
     "vdot", "vcross", "vcurl", "vnorm2",
 ]
@@ -121,13 +126,17 @@ class Jet:
         inv = 1.0 / self.f
         return _chain(self, inv, -inv * inv, 2.0 * inv * inv * inv)
 
+    # the value is the true quotient; the derivatives follow the quotient
+    # rule through the reciprocal's chain
     def __truediv__(self, other):
         if isinstance(other, Jet):
-            return self * other._reciprocal()
-        return self * (1.0 / other)
+            q = self * other._reciprocal()
+            return Jet(self.f / other.f, q.g, q.h)
+        return _map(lambda a: a / other, self)
 
     def __rtruediv__(self, other):
-        return self._reciprocal() * other
+        q = self._reciprocal() * other
+        return Jet(other / self.f, q.g, q.h)
 
     def __pow__(self, p):
         if isinstance(p, int) and p == 2:
@@ -208,13 +217,6 @@ def jexp(z):
     return _chain(z, v, v, v)
 
 
-def jlog(z):
-    if not isinstance(z, Jet):
-        return np.log(z)
-    inv = 1.0 / z.f
-    return _chain(z, np.log(z.f), inv, -inv * inv)
-
-
 def jsin(z):
     if not isinstance(z, Jet):
         return np.sin(z)
@@ -225,25 +227,6 @@ def jcos(z):
     if not isinstance(z, Jet):
         return np.cos(z)
     return _chain(z, np.cos(z.f), -np.sin(z.f), -np.cos(z.f))
-
-
-def jatan2(y, x):
-    """atan2(y, x) for real-valued jets."""
-    if not isinstance(y, Jet) and not isinstance(x, Jet):
-        return np.arctan2(y, x)
-    yj = y if isinstance(y, Jet) else _const_like(x, y)
-    xj = x if isinstance(x, Jet) else _const_like(y, x)
-    f = np.arctan2(yj.f, xj.f)
-    if xj.g is None or yj.g is None:
-        return Jet(f, None)
-    r2 = xj.f * xj.f + yj.f * yj.f
-    g = (xj.f * yj.g - yj.f * xj.g) / r2
-    h = None
-    if xj.h is not None and yj.h is not None:
-        dr2 = 2.0 * (xj.f * xj.g + yj.f * yj.g)
-        h = (_outer(yj.g, xj.g) - _outer(xj.g, yj.g)
-             + xj.f * yj.h - yj.f * xj.h) / r2 - _outer(g, dr2 / r2)
-    return Jet(f, g, h)
 
 
 def jwhere(mask, a, b):

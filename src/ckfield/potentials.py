@@ -380,7 +380,8 @@ def parallelism_residual(spec: PotentialSpec, x):
 
 class _Field:
     """X, w = |X|, div X, Y = curl X, 1/w and A on one point batch xc
-    (seeded jets or plain coordinates; A is None without a potential).
+    (A is None without a potential).  xc may be seeded jets of any order
+    or plain coordinates; the values are the same bits either way.
 
     Every consumer reads it: the spinor-operator cores, holonomy, the loop
     integrals, planarity and f w^3 along orbits.
@@ -470,20 +471,22 @@ def construct_losyau(n_points: int = 1000, rng_seed: int = 7,
     """
     rng = np.random.default_rng(rng_seed)
     pts = rng.normal(scale=1.5, size=(3, n_points))
-    psi = losyau_psi(seed(pts, order=1))
+    xc = seed(pts, order=1)
+    psi = losyau_psi(xc)
     t = _D_core(None, psi)      # sigma.(-i grad) psi
 
     comps, max_imag = losyau_potential_from_mode(psi, t)
     spec = lossyau()
-    closed = potential_components(spec, [pts[0], pts[1], pts[2]])
-    scale = 1.0 + max(float(np.max(np.abs(value(c)))) for c in closed)
+    A = potential_components(spec, xc)
+    closed = [value(c) for c in A]
+    scale = 1.0 + max(float(np.max(np.abs(c))) for c in closed)
     mismatch = max(float(np.max(np.abs(value(c) - cc)))
                    for c, cc in zip(comps, closed)) / scale
 
-    dirac_residual = float(np.max(spinor_abs(_D_core(closed, psi))
+    dirac_residual = float(np.max(spinor_abs(_D_core(A, psi))
                                   / spinor_abs(psi)))
 
-    par = float(np.max(parallelism_residual(spec, pts)))
+    par = float(np.max(_parallel_residual(A, eval_ckf(field_iso(), pts))))
 
     if max_imag > tol or mismatch > tol or dirac_residual > tol or par > tol:
         raise ConstructionFailed(

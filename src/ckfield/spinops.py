@@ -11,7 +11,8 @@ All derivatives come from forward-mode jets; the commutator identities need
 second derivatives, so their inputs are seeded at order 2 and each operator
 application consumes one order.  Nothing here is ever finite-differenced.
 
-Each operator exists once, as a core on jets (D is `spinors._D_core`).
+Each operator exists once, as a core on jets (D is `spinors._D_core`;
+P_+ F and P_- F come as one pair from one S F, `_P_pair`).
 The cores read the field context `potentials._Field` (X, w, div X, Y, 1/w
 and A, evaluated once per point batch), which `holonomy` and `flows` read
 too.  Its parallelism check, which Q and the commutator residuals need,
@@ -40,8 +41,7 @@ from .ckf import (CkfParams, eval_ckf, frame_threshold, is_simple_rotation,
                   simple_rotation_residual)
 from .errors import FrameUndefined, NotSimpleRotation, SupportViolation
 from .jets import seed, value, vdot
-from .potentials import (PotentialSpec, _as_batch, _Field,
-                         potential_components)
+from .potentials import PotentialSpec, _Field, potential_components
 from .quadrature import QuadBox, box_axes
 from .spinors import (SpinorField, _D_core, _covariant, _order, eval_spinor,
                       sigma_apply, spinor_abs)
@@ -71,9 +71,11 @@ def _S_core(ctx: _Field, F):
     return [c.invw * sX[0], c.invw * sX[1]]
 
 
-def _P_core(ctx: _Field, F, sign: int):
+def _P_pair(ctx: _Field, F):
+    # (P+ F, P- F) from one S F
     SF = _S_core(ctx, F)
-    return [0.5 * (F[0] + sign * SF[0]), 0.5 * (F[1] + sign * SF[1])]
+    return ([0.5 * (F[0] + SF[0]), 0.5 * (F[1] + SF[1])],
+            [0.5 * (F[0] - SF[0]), 0.5 * (F[1] - SF[1])])
 
 
 def _Dw_core(ctx: _Field, F):
@@ -95,7 +97,6 @@ def _check_frame(p: CkfParams, ctx: _Field, msg: str):
 
 def apply_D(spec: Optional[PotentialSpec], f: SpinorField, x) -> np.ndarray:
     """sigma.(-i grad - A) f at x; shape (2,) + batch, complex."""
-    x = _as_batch(x)
     xc = seed(x, order=1)
     A = None if spec is None else potential_components(spec, xc)
     return _spinor_values(_D_core(A, eval_spinor(f, xc)))
@@ -104,7 +105,6 @@ def apply_D(spec: Optional[PotentialSpec], f: SpinorField, x) -> np.ndarray:
 def apply_Q(p: CkfParams, spec: Optional[PotentialSpec], f: SpinorField,
             x) -> np.ndarray:
     """Q f at x.  Requires curl A parallel to X at x (or spec = None)."""
-    x = _as_batch(x)
     xc = seed(x, order=1)
     ctx = _Field(p, spec, xc)
     F = eval_spinor(f, xc)
@@ -114,7 +114,6 @@ def apply_Q(p: CkfParams, spec: Optional[PotentialSpec], f: SpinorField,
 
 def apply_S(p: CkfParams, f: SpinorField, x) -> np.ndarray:
     """S f = w^{-1} (sigma.X) f at x; FrameUndefined where w vanishes."""
-    x = _as_batch(x)
     xc = seed(x, order=1)
     ctx = _Field(p, None, xc)
     F = eval_spinor(f, xc)
@@ -125,7 +124,6 @@ def apply_S(p: CkfParams, f: SpinorField, x) -> np.ndarray:
 def commutator_residuals(p: CkfParams, spec: Optional[PotentialSpec],
                          f: SpinorField, x):
     """Residual norms of [Dw,Q]f, [Q,S]f, {Dw,S}f - 2Qf - (X.Y)/(2w) Sf."""
-    x = _as_batch(x)
     xc = seed(x, order=2)
     ctx = _Field(p, spec, xc)
     F = eval_spinor(f, xc)
@@ -195,11 +193,10 @@ def norm_decomposition_check(p: CkfParams, spec: Optional[PotentialSpec],
     Streams the tensor-product Gauss-Legendre grid in z-slabs to bound
     memory; accumulation order is fixed, so results are reproducible.
     """
-    res = simple_rotation_residual(p)
     s = max(1.0, p.scale())
     if not is_simple_rotation(p):
         raise NotSimpleRotation(f"norm decomposition needs X.Y = 0; "
-                                f"residuals {res}")
+                                f"residuals {simple_rotation_residual(p)}")
 
     peak, boundary_peak, w_min = _support_scan(p, f, grid)
     if boundary_peak > 1.0e-12 * max(peak, 1.0e-300):
@@ -246,19 +243,15 @@ def norm_decomposition_check(p: CkfParams, spec: Optional[PotentialSpec],
         xc = seed(P, order=1)
         ctx = _Field(p, spec, xc)
         F = eval_spinor(f, xc)
-        DwF = _Dw_core(ctx, F)
-        Tp = _P_core(ctx, _Dw_core(ctx, _P_core(ctx, F, -1)), +1)
-        Tm = _P_core(ctx, _Dw_core(ctx, _P_core(ctx, F, +1)), -1)
-        QF = _Q_core(ctx, F)
-
         wts = wts3 * np.asarray(value(ctx.w), dtype=float)
         def accum(G):
             g = _spinor_values(G)
             return float(wts @ (np.abs(g) ** 2).sum(axis=0))
-        lhs += accum(DwF)
-        t_plus += accum(Tp)
-        t_minus += accum(Tm)
-        q_term += accum(QF)
+        lhs += accum(_Dw_core(ctx, F))
+        Fp, Fm = _P_pair(ctx, F)
+        t_plus += accum(_P_pair(ctx, _Dw_core(ctx, Fm))[0])
+        t_minus += accum(_P_pair(ctx, _Dw_core(ctx, Fp))[1])
+        q_term += accum(_Q_core(ctx, F))
 
     rel_err = abs(lhs - (t_plus + t_minus + q_term)) / lhs
     return lhs, (t_plus, t_minus, q_term), rel_err

@@ -2,18 +2,23 @@
 
 Each invocation goes through ``main(argv)`` in-process so the exit code,
 the printed summary, and the written artifacts can all be asserted without
-shelling out; one test checks the installed console script itself.
+shelling out; one test runs the console script's entry point as a
+separate process.
 """
 
 import csv
 import json
-import shutil
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ckfield.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(*args, outdir):
@@ -225,11 +230,16 @@ def test_field_eval_cmd(tmp_path):
 # installed entry point
 
 
-@pytest.mark.skipif(shutil.which("ckfield") is None,
-                    reason="console script not on PATH")
 def test_console_script_runs(tmp_path):
-    out = subprocess.run(["ckfield", "classify", "--ckf", "ro",
-                          "--outdir", str(tmp_path)],
-                         capture_output=True, text=True)
+    # the [project.scripts] entry names cli.main; run that module as a
+    # separate process from the source tree, installed or not
+    tomllib = pytest.importorskip("tomllib")       # Python >= 3.11
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"ckfield": "ckfield.cli:main"}
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-m", "ckfield.cli", "classify",
+                          "--ckf", "ro", "--outdir", str(tmp_path)],
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert "kind=Rotation" in out.stdout

@@ -1,25 +1,31 @@
-"""The shared field context against the plain-point formulas, and the one
-scaled frame rule.
+"""The shared field context against the plain-point formulas, seeded
+values against plain ones, and the one scaled frame rule.
 
 Holonomy, the loop integrals and f w^3 read X, w, div X, Y and A from
 `potentials._Field`.  The references below evaluate the same quantities
 with the plain-point evaluators (`eval_ckf`, `eval_ckf_curl`, `div_ckf`,
-`eval_potential`, `eval_field`); the results must agree bit for bit.
+`eval_potential`, `eval_field`); the results must agree bit for bit.  So
+must the value of every closed form evaluated on seeded jets and on plain
+points: a jet's value is the plain value.
 """
 
 import numpy as np
 import pytest
 
+import ckfield.holonomy
 from ckfield.ckf import (CkfParams, EPS_FRAME, div_ckf, eval_ckf,
                          eval_ckf_curl, field_cr, field_ro, frame_threshold)
 from ckfield.errors import FrameUndefined
 from ckfield.flows import cr_orbit_seed, integrate_curve, loop_integrals
 from ckfield.holonomy import admissible_spectrum, frame_spinor, phase_integrand
-from ckfield.potentials import (axial, eval_field, eval_potential,
-                                fw3_along_curve, gauged, hopfbase, modulated,
-                                parent_field, scaled, smoothbump)
+from ckfield.jets import seed, value
+from ckfield.potentials import (axial, constant, eval_field, eval_potential,
+                                fw3_along_curve, gauged, gaussian, hopfbase,
+                                lossyau, modulated, parent_field, polynomial,
+                                potential_components, scaled, smoothbump)
 from ckfield.spinops import apply_S, commutator_residuals
-from ckfield.spinors import gaussian_packet
+from ckfield.spinors import (bump_packet, eval_spinor, gaussian_packet,
+                             losyau_mode)
 
 
 def _specs(base, profile):
@@ -93,6 +99,80 @@ def test_context_matches_plain_point_formulas_bitwise(kind, arg):
             values, spread = fw3_along_curve(spec, trace)
             ref_values, ref_spread = _ref_fw3(spec, trace.xs)
             assert _same_bits(values, ref_values) and spread == ref_spread
+
+
+_AXIAL = axial(smoothbump(0.2, 4.0, 0.7))
+SEEDED_SPECS = {
+    "axial-smoothbump": _AXIAL,
+    "axial-gaussian": axial(gaussian(0.5, 1.0, 1.3), smoothbump(-2.0, 2.5)),
+    "axial-polynomial": axial(polynomial([0.3, -0.2, 0.05]),
+                              gaussian(0.2, 1.5)),
+    "axial-constant": axial(constant(0.8), polynomial([1.0, 0.4])),
+    "hopfbase": hopfbase(0.7),
+    "modulated-axial": modulated(_AXIAL, smoothbump(0.1, 5.0, 0.9)),
+    "modulated-hopfbase": modulated(hopfbase(1.0),
+                                    smoothbump(0.05, 0.95, 1.0)),
+    "lossyau": lossyau(),
+    "scaled": scaled(modulated(hopfbase(1.3), gaussian(0.4, 0.3)), -0.7),
+    "gauged-sin_x1_x2": gauged(_AXIAL, "sin_x1_x2"),
+    "gauged-x1x2x3": gauged(hopfbase(1.0), "x1x2x3"),
+    "gauged-linear": gauged(lossyau(), "linear:0.3,-1.2,2.0"),
+}
+SEEDED_SPINORS = [
+    gaussian_packet((0.3, -0.2, 0.5), 0.8, spinor=(0.6, 0.8j),
+                    poly=((1.0, (0, 0, 0)), (0.5, (1, 0, 2)),
+                          (-0.3, (0, 1, 0)))),
+    bump_packet((0.3, 2.5), (-1.0, 1.2), spinor=(1.0, 0.5 - 0.5j)),
+    losyau_mode(),
+]
+
+
+def _same_values(seeded, plain, shape):
+    return all(_same_bits(np.broadcast_to(value(a), shape),
+                          np.broadcast_to(value(b), shape))
+               for a, b in zip(seeded, plain))
+
+
+@pytest.mark.parametrize("spec", SEEDED_SPECS.values(), ids=SEEDED_SPECS)
+@pytest.mark.parametrize("order", (1, 2))
+def test_seeded_potential_values_are_the_plain_values(spec, order):
+    pts = np.random.default_rng(5).normal(scale=1.5, size=(3, 2000))
+    plain = eval_potential(spec, pts)
+    seeded = potential_components(spec, seed(pts, order=order))
+    assert _same_values(seeded, list(plain), pts.shape[1:])
+
+
+@pytest.mark.parametrize("field", SEEDED_SPINORS,
+                         ids=[f.kind for f in SEEDED_SPINORS])
+@pytest.mark.parametrize("order", (1, 2))
+def test_seeded_spinor_values_are_the_plain_values(field, order):
+    pts = np.random.default_rng(6).normal(scale=1.2, size=(3, 2000))
+    plain = eval_spinor(field, [pts[0], pts[1], pts[2]])
+    seeded = eval_spinor(field, seed(pts, order=order))
+    assert _same_values(seeded, plain, pts.shape[1:])
+
+
+@pytest.mark.parametrize("kind,arg", [("ro", [0.9, 0.0, 0.2]),
+                                      ("cr", (0.5, 0.5)), ("cr", (1.7, 0.9))])
+def test_phase_integrand_is_admissible_spectrums_integrand(kind, arg,
+                                                          monkeypatch):
+    # admissible_spectrum reads its integrand from an order-1 seeded
+    # context, phase_integrand from the unseeded nodes
+    p, trace, _ = _orbit(kind, arg)
+    base = _AXIAL if kind == "ro" else hopfbase(arg[0])
+    seen = []
+    real = ckfield.holonomy._phase_values
+
+    def recording(p, ctx):
+        seen.append(real(p, ctx))
+        return seen[-1]
+
+    monkeypatch.setattr(ckfield.holonomy, "_phase_values", recording)
+    for gauge in ("sin_x1_x2", "x1x2x3", "linear:0.3,-1.2,2.0"):
+        spec = gauged(base, gauge)
+        admissible_spectrum(p, spec, trace)
+        integrand = seen[-1]
+        assert _same_bits(phase_integrand(p, spec, trace), integrand)
 
 
 def test_frame_rule_is_relative_to_the_field_scale():

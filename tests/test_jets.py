@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from ckfield.jets import (Jet, derivative, jatan2, jconj, jcos, jexp, jimag,
-                          jlog, jreal, jsin, jsqrt, jwhere, order, partial,
-                          seed, truncate, value, vcross, vdot, vnorm2)
+from ckfield.jets import (Jet, derivative, jconj, jcos, jexp, jimag, jreal,
+                          jsin, jsqrt, jwhere, order, partial, seed, truncate,
+                          value, vcross, vdot, vnorm2)
 
 FD_H = 1e-5
 FD_TOL = 1e-7
@@ -16,16 +16,14 @@ def _fn(xc):
     x1, x2, x3 = xc
     r2 = x1 * x1 + x2 * x2 + x3 * x3
     return (jsqrt(r2 + 1.0) * jexp(-0.3 * x3) + jsin(x1 * x2)
-            + jcos(x3) / (2.0 + x1) + jlog(r2 + 2.0)
-            + jatan2(x2, 1.5 + x1) + (r2 + 0.7) ** -1.5)
+            + jcos(x3) / (2.0 + x1) + (r2 + 0.7) ** -1.5)
 
 
 def _fn_plain(x):
     x1, x2, x3 = x
     r2 = x1 * x1 + x2 * x2 + x3 * x3
     return (np.sqrt(r2 + 1.0) * np.exp(-0.3 * x3) + np.sin(x1 * x2)
-            + np.cos(x3) / (2.0 + x1) + np.log(r2 + 2.0)
-            + np.arctan2(x2, 1.5 + x1) + (r2 + 0.7) ** -1.5)
+            + np.cos(x3) / (2.0 + x1) + (r2 + 0.7) ** -1.5)
 
 
 def test_gradient_matches_finite_differences(rng):
@@ -115,6 +113,21 @@ def test_division_and_power(rng):
     assert np.allclose((r * b).g, 0.0, atol=1e-14)
 
 
+def test_division_value_is_the_plain_quotient(rng):
+    pts = rng.uniform(0.3, 3.0, (3, 500))
+    c = rng.uniform(0.3, 3.0, 500)
+    for m in (0, 1, 2):
+        x = [truncate(z, m) for z in seed(pts, order=2)]
+        a, b = x[0] * x[1] + 0.7j, jexp(x[2]) - 0.9
+        af, bf = pts[0] * pts[1] + 0.7j, np.exp(pts[2]) - 0.9
+        for q, plain in ((a / b, af / bf), (a / 3.7, af / 3.7),
+                         (a / c, af / c), (1.3 / b, 1.3 / bf),
+                         (c / b, c / bf)):
+            assert order(q) == m
+            np.testing.assert_array_equal(q.f, plain)
+            assert q.f.tobytes() == plain.tobytes()
+
+
 def test_vector_helpers(rng):
     x = seed(rng.uniform(-1, 1, 3), order=1)
     u = [x[0], x[1] * x[2], x[2] + 1.0]
@@ -183,15 +196,14 @@ def test_order_zero_is_contagious(rng):
     mask = pts[1] > 1.0
     for a in (x1[1], x2[2]):
         results = [z0 + a, a + z0, z0 - a, a - z0, z0 * a, a * z0,
-                   jwhere(mask, z0, a), jwhere(mask, a, z0),
-                   jatan2(Jet(pts[0], None), a)]
+                   jwhere(mask, z0, a), jwhere(mask, a, z0)]
         for r in results:
             assert order(r) == 0 and r.g is None and r.h is None
     r0 = Jet(pts[1], None)
     unary = [-z0, z0 + 1.0, 1.0 + z0, z0 - 2.0, 2.0 - z0, z0 * 3.0, 3.0 * z0,
              z0 / 2.0, 1.0 / r0, r0 ** 2, r0 ** 1.5, jexp(z0), jsqrt(r0),
-             jlog(r0), jsin(z0), jcos(z0), jreal(z0), jimag(z0), jconj(z0),
-             jwhere(mask, z0, 1.0), jwhere(mask, 1.0, z0), jatan2(r0, 2.0)]
+             jsin(z0), jcos(z0), jreal(z0), jimag(z0), jconj(z0),
+             jwhere(mask, z0, 1.0), jwhere(mask, 1.0, z0)]
     for r in unary:
         assert order(r) == 0 and r.g is None and r.h is None
     # the values are those of the full-order computation

@@ -164,6 +164,21 @@ def test_losyau_construction_certifies():
     assert mode.kind == "losyau_mode"
 
 
+def test_losyau_construction_evaluates_the_control_once(monkeypatch):
+    import ckfield.potentials as P
+    calls = []
+    for name in ("seed", "potential_components"):
+        real = getattr(P, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(P, name, counted)
+    construct_losyau(n_points=400)
+    assert sorted(calls) == ["potential_components", "seed"]
+
+
 def test_losyau_potential_closed_form(rng):
     # A = 6 (1+|x|^2)^{-2} (ro + cr_1) evaluated directly
     pts = rng.uniform(-2, 2, (3, 32))

@@ -303,21 +303,22 @@ def _record_jet_products(monkeypatch):
 
 
 def test_cores_on_order_one_seeds_return_values(monkeypatch):
-    from ckfield.spinops import _D_core, _Dw_core, _Field, _P_core, _Q_core
+    from ckfield.spinops import _D_core, _Dw_core, _Field, _P_pair, _Q_core
     p, spec, f, pts = _norm_slab()
     xc = seed(pts, order=1)
     ctx = _Field(p, spec, xc)
     F = eval_spinor(f, xc)
-    Tp = _P_core(ctx, _Dw_core(ctx, _P_core(ctx, F, -1)), +1)
-    Tm = _P_core(ctx, _Dw_core(ctx, _P_core(ctx, F, +1)), -1)
+    Fp, Fm = _P_pair(ctx, F)
+    Tp = _P_pair(ctx, _Dw_core(ctx, Fm))[0]
+    Tm = _P_pair(ctx, _Dw_core(ctx, Fp))[1]
     seen = _record_jet_products(monkeypatch)
     for G in (_D_core(ctx.A, F), _Q_core(ctx, F), Tp, Tm):
         assert [order(c) for c in G] == [0, 0]
     # D and Q multiply bare values only: no product computes a gradient
     assert seen and max(seen) == 0
     # the projections keep F's order; a constant spinor stays x-dependent
-    assert [order(c) for c in _P_core(ctx, F, +1)] == [1, 1]
-    assert [order(c) for c in _P_core(ctx, (1.0, 0.0), +1)] == [1, 1]
+    for G in (*_P_pair(ctx, F), *_P_pair(ctx, (1.0, 0.0))):
+        assert [order(c) for c in G] == [1, 1]
 
 
 def test_commutator_QF_carries_no_hessian(monkeypatch):
@@ -345,14 +346,14 @@ def test_commutator_QF_carries_no_hessian(monkeypatch):
 
 
 def test_field_context_is_freed_without_the_cycle_collector():
-    from ckfield.spinops import _Dw_core, _Field, _P_core, _Q_core
+    from ckfield.spinops import _Dw_core, _Field, _P_pair, _Q_core
     p, spec, f, pts = _norm_slab()
     gc.disable()
     try:
         xc = seed(pts, order=1)
         ctx = _Field(p, spec, xc)
         F = eval_spinor(f, xc)
-        _P_core(ctx, _Dw_core(ctx, _P_core(ctx, F, -1)), +1)
+        _P_pair(ctx, _Dw_core(ctx, _P_pair(ctx, F)[1]))
         _Q_core(ctx, F)
         assert ctx._views              # the truncated views were cached
         ref = weakref.ref(ctx)
