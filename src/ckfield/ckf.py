@@ -22,6 +22,7 @@ forward-mode differentiation in the test suite):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,6 +33,21 @@ from .jets import jsqrt, partial, seed, value, vcross, vnorm2
 
 EPS_FRAME = 1e-10     # absolute threshold below which frames are undefined
 EPS_CLASSIFY = 1e-9   # relative tolerance for classification decisions
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a float array over all its entries: the same
+    sqrt(r.dot(r)) on the raveled array that np.linalg.norm computes for
+    real input, without its general-purpose dispatch."""
+    r = v.ravel(order="K")
+    return math.sqrt(float(r.dot(r)))
+
+
+def _scale(p: CkfParams, na: float, nb: float, nc: float) -> float:
+    """p.scale() from the part norms |a|, |b|, |c| already taken."""
+    b0 = p.b0
+    nb0 = abs(b0) if isinstance(b0, float) else float(np.max(np.abs(b0)))
+    return max(na, nb0, nb, nc)
 
 
 def frame_threshold(p: CkfParams) -> float:
@@ -62,22 +78,30 @@ class CkfParams:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape[0] != 3:
                 raise ValueError(f"{name} must have leading length 3")
-            if not np.all(np.isfinite(v)):
+            if not np.isfinite(v).all():
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, v)
-        b0 = np.asarray(self.b0, dtype=float)
-        if not np.all(np.isfinite(b0)):
+        b0 = self.b0
+        if isinstance(b0, (float, int)):
+            b0 = float(b0)
+            finite = math.isfinite(b0)
+        else:
+            b0 = np.asarray(b0, dtype=float)
+            finite = np.isfinite(b0).all()
+            if not b0.ndim:
+                b0 = float(b0)
+        if not finite:
             raise ValueError("b0 must be finite")
-        object.__setattr__(self, "b0", b0 if b0.ndim else float(b0))
+        object.__setattr__(self, "b0", b0)
 
     @property
     def batched(self) -> bool:
-        return self.a.ndim > 1 or self.b.ndim > 1 or self.c.ndim > 1
+        return (self.a.ndim > 1 or self.b.ndim > 1 or self.c.ndim > 1
+                or isinstance(self.b0, np.ndarray))
 
     def scale(self) -> float:
         """max(|a|, |b0|, |b|, |c|), the natural size of the parameters."""
-        return max(float(np.linalg.norm(self.a)), float(np.max(np.abs(self.b0))),
-                   float(np.linalg.norm(self.b)), float(np.linalg.norm(self.c)))
+        return _scale(self, _norm(self.a), _norm(self.b), _norm(self.c))
 
     def to_dict(self) -> dict:
         if self.batched:
@@ -265,20 +289,31 @@ def frame_quantities(p: CkfParams, xc):
 
 # -- simple-rotation condition and classification ---------------------------
 
+def _require_unbatched(p: CkfParams, caller: str) -> None:
+    if p.batched:
+        raise ValueError(f"{caller} expects unbatched parameters")
+
+
 def simple_rotation_residual(p: CkfParams):
     """(a.b, c.b, b0*b - c x a): all vanish iff X . curl X = 0 on R^3."""
+    _require_unbatched(p, "simple_rotation_residual")
     r1 = float(p.a @ p.b)
     r2 = float(p.c @ p.b)
-    r3 = p.b0 * p.b - np.stack(vcross(p.c, p.a))
+    r3 = p.b0 * p.b - np.array(vcross(p.c, p.a))
     return r1, r2, r3
 
 
-def is_simple_rotation(p: CkfParams, tol: float = EPS_CLASSIFY) -> bool:
-    s = p.scale()
+def _is_simple(p: CkfParams, s: float, tol: float) -> bool:
+    """The simple-rotation test of unbatched p whose scale s is known."""
     if s == 0.0:
         return True
     r1, r2, r3 = simple_rotation_residual(p)
-    return max(abs(r1), abs(r2), float(np.linalg.norm(r3))) <= tol * s * s
+    return max(abs(r1), abs(r2), _norm(r3)) <= tol * s * s
+
+
+def is_simple_rotation(p: CkfParams, tol: float = EPS_CLASSIFY) -> bool:
+    _require_unbatched(p, "is_simple_rotation")
+    return _is_simple(p, p.scale(), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,26 +338,24 @@ class CanonicalForm:
 
 def classify(p: CkfParams, tol: float = EPS_CLASSIFY) -> CanonicalForm:
     """Canonicalize a simple-rotation field (raises otherwise)."""
-    if p.batched:
-        raise ValueError("classify expects unbatched parameters")
-    s = p.scale()
+    _require_unbatched(p, "classify")
+    na, nb, nc = _norm(p.a), _norm(p.b), _norm(p.c)
+    s = _scale(p, na, nb, nc)
     if s == 0.0:
         raise ZeroField("all parameters vanish")
-    if not is_simple_rotation(p, tol):
+    if not _is_simple(p, s, tol):
         r = simple_rotation_residual(p)
         raise NotSimpleRotation(
             f"residuals (a.b, c.b, |b0 b - c x a|) = "
-            f"({r[0]:.3e}, {r[1]:.3e}, {np.linalg.norm(r[2]):.3e}) "
+            f"({r[0]:.3e}, {r[1]:.3e}, {_norm(r[2]):.3e}) "
             f"exceed {tol:g} * scale^2")
-    na, nb, nc = (np.linalg.norm(p.a), np.linalg.norm(p.b),
-                  np.linalg.norm(p.c))
     if nc > tol * s:
-        x0 = (np.stack(vcross(p.c, p.b)) - p.b0 * p.c) / nc**2
+        x0 = (np.array(vcross(p.c, p.b)) - p.b0 * p.c) / nc**2
         nu = 0.5 * (2.0 * float(p.a @ p.c) + nb**2 - float(p.b0)**2) / nc**2
         return CanonicalForm(kind="Special", x0=x0, axis=p.c / nc, scale=nc,
                              nu=nu, admissible=bool(nu > 0.0))
     if nb > tol * s:
-        x0 = np.stack(vcross(p.b, p.a)) / nb**2
+        x0 = np.array(vcross(p.b, p.a)) / nb**2
         return CanonicalForm(kind="Rotation", x0=x0, axis=p.b / nb, scale=nb,
                              nu=None, admissible=True)
     if abs(float(p.b0)) > tol * s:
@@ -344,12 +377,12 @@ def reconstruct(cf: CanonicalForm) -> CkfParams:
         return CkfParams(a=-b0 * cf.x0, b0=b0, b=zero, c=zero)
     if cf.kind == "Rotation":
         b = cf.scale * cf.axis
-        return CkfParams(a=-np.stack(vcross(b, cf.x0)), b0=0.0, b=b, c=zero)
+        return CkfParams(a=-np.array(vcross(b, cf.x0)), b0=0.0, b=b, c=zero)
     if cf.kind == "Special":
         c = cf.scale * cf.axis
         x0, nu = cf.x0, cf.nu
         a = nu * c + float(c @ x0) * x0 - 0.5 * float(x0 @ x0) * c
-        return CkfParams(a=a, b0=-float(c @ x0), b=-np.stack(vcross(c, x0)),
+        return CkfParams(a=a, b0=-float(c @ x0), b=-np.array(vcross(c, x0)),
                          c=c)
     raise ValueError(f"unknown kind {cf.kind!r}")
 
