@@ -40,7 +40,6 @@ from .spinops import (CutoffPair, apply_D, apply_Q, apply_S, chi0,
                       chi0_prime, chi0_prime_max, chi_R,
                       commutator_residuals, cutoff_bound_check, eta_eps,
                       grad_chi_R, norm_decomposition_check)
-from .spinors import (SpinorField, bump_packet, custom, gaussian_packet,
-                      losyau_mode)
+from .spinors import SpinorField, bump_packet, gaussian_packet, losyau_mode
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -117,10 +117,9 @@ class CkfParams:
                          c=np.asarray(d.get("c", (0, 0, 0)), float))
 
 
-def field_ud(direction=(0.0, 0.0, 1.0)) -> CkfParams:
-    """Constant (translation) field X = a."""
-    return CkfParams(a=np.asarray(direction, float), b0=0.0,
-                     b=np.zeros(3), c=np.zeros(3))
+def field_ud() -> CkfParams:
+    """Unit translation along the x3-axis: X = e3."""
+    return CkfParams(a=_E3.copy(), b0=0.0, b=np.zeros(3), c=np.zeros(3))
 
 
 def field_ro() -> CkfParams:
@@ -181,16 +180,11 @@ def laplacian_ckf(p: CkfParams) -> np.ndarray:
     return -p.c
 
 
-def _as_components(x):
-    if isinstance(x, (list, tuple)):
-        return list(x), True
-    x = np.asarray(x, dtype=float)
-    return [x[0], x[1], x[2]], False
-
-
 def eval_ckf(p: CkfParams, x) -> np.ndarray:
     """X(x) for a plain point/batch; returns an array of shape (3,) + batch."""
-    xc, _ = _as_components(x)
+    if not isinstance(x, (list, tuple)):
+        x = np.asarray(x, dtype=float)
+    xc = [x[0], x[1], x[2]]
     return np.stack([np.asarray(v, float) for v in ckf_components(p, xc)])
 
 
@@ -303,17 +297,17 @@ def simple_rotation_residual(p: CkfParams):
     return r1, r2, r3
 
 
-def _is_simple(p: CkfParams, s: float, tol: float) -> bool:
+def _is_simple(p: CkfParams, s: float) -> bool:
     """The simple-rotation test of unbatched p whose scale s is known."""
     if s == 0.0:
         return True
     r1, r2, r3 = simple_rotation_residual(p)
-    return max(abs(r1), abs(r2), _norm(r3)) <= tol * s * s
+    return max(abs(r1), abs(r2), _norm(r3)) <= EPS_CLASSIFY * s * s
 
 
-def is_simple_rotation(p: CkfParams, tol: float = EPS_CLASSIFY) -> bool:
+def is_simple_rotation(p: CkfParams) -> bool:
     _require_unbatched(p, "is_simple_rotation")
-    return _is_simple(p, p.scale(), tol)
+    return _is_simple(p, p.scale())
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,29 +330,29 @@ class CanonicalForm:
     rate: Optional[float] = None
 
 
-def classify(p: CkfParams, tol: float = EPS_CLASSIFY) -> CanonicalForm:
+def classify(p: CkfParams) -> CanonicalForm:
     """Canonicalize a simple-rotation field (raises otherwise)."""
     _require_unbatched(p, "classify")
     na, nb, nc = _norm(p.a), _norm(p.b), _norm(p.c)
     s = _scale(p, na, nb, nc)
     if s == 0.0:
         raise ZeroField("all parameters vanish")
-    if not _is_simple(p, s, tol):
+    if not _is_simple(p, s):
         r = simple_rotation_residual(p)
         raise NotSimpleRotation(
             f"residuals (a.b, c.b, |b0 b - c x a|) = "
             f"({r[0]:.3e}, {r[1]:.3e}, {_norm(r[2]):.3e}) "
-            f"exceed {tol:g} * scale^2")
-    if nc > tol * s:
+            f"exceed {EPS_CLASSIFY:g} * scale^2")
+    if nc > EPS_CLASSIFY * s:
         x0 = (np.array(vcross(p.c, p.b)) - p.b0 * p.c) / nc**2
         nu = 0.5 * (2.0 * float(p.a @ p.c) + nb**2 - float(p.b0)**2) / nc**2
         return CanonicalForm(kind="Special", x0=x0, axis=p.c / nc, scale=nc,
                              nu=nu, admissible=bool(nu > 0.0))
-    if nb > tol * s:
+    if nb > EPS_CLASSIFY * s:
         x0 = np.array(vcross(p.b, p.a)) / nb**2
         return CanonicalForm(kind="Rotation", x0=x0, axis=p.b / nb, scale=nb,
                              nu=None, admissible=True)
-    if abs(float(p.b0)) > tol * s:
+    if abs(float(p.b0)) > EPS_CLASSIFY * s:
         b0 = float(p.b0)
         return CanonicalForm(kind="Dilation", x0=-p.a / b0, axis=None,
                              scale=abs(b0), nu=None, admissible=False,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -112,7 +113,11 @@ def _parse_ts(s: str) -> np.ndarray:
     """a:b:step inclusive range, or comma list."""
     if ":" in s:
         a, b, step = (float(v) for v in s.split(":"))
-        n = int(round((b - a) / step)) + 1
+        span = (b - a) / step if step else math.nan
+        n = int(round(span)) + 1 if math.isfinite(span) else 0
+        if n < 1 or not math.isfinite(step):
+            raise ValueError(f"--ts {s!r} is not a range: need finite a, b "
+                             f"and a finite, nonzero step from a towards b")
         return a + step * np.arange(n)
     return np.array([float(v) for v in s.split(",")])
 
@@ -217,7 +222,6 @@ def _cmd_field_lines(cfg) -> int:
     if cfg.get("rk_tol") is not None:
         kw["rk_tol"] = float(cfg["rk_tol"])
     summary = {"seed_point": x0.tolist()}
-    code = 0
     try:
         tr = integrate_curve(p, x0, **kw)
     except BlowUp as exc:
@@ -244,7 +248,7 @@ def _cmd_field_lines(cfg) -> int:
         json.dump(summary, fh, indent=2)
     _write_manifest(d, cfg)
     print(json.dumps(summary))
-    return code
+    return 0
 
 
 def _cmd_loop_integrals(cfg) -> int:

@@ -393,6 +393,9 @@ def _sigma_min_block(op: GridOperator, rng_seed: int = 0,
                      method: str = "auto", X0: Optional[np.ndarray] = None):
     """(sigma_min, Ritz block, iterations, eta); sweeps warm-start from the
     block.  The dense path returns (sigma_min, None, 0, 0.0)."""
+    if method not in ("auto", "dense", "lobpcg"):
+        raise ValueError(f"method must be 'auto', 'dense' or 'lobpcg', "
+                         f"not {method!r}")
     M = op.matrix
     dim = M.shape[0]
     if method == "dense" or (method == "auto" and dim <= 1200):
@@ -422,7 +425,8 @@ def _sigma_min_block(op: GridOperator, rng_seed: int = 0,
 def sigma_min(op: GridOperator, rng_seed: int = 0, tol: float = SOLVE_TOL,
               maxiter: int = 5000, method: str = "auto") -> float:
     """sigma_min of M: the dense path's exact minimum, or LOBPCG's lowest
-    Ritz value of M^2 (square-rooted).
+    Ritz value of M^2 (square-rooted).  method is "dense", "lobpcg" or
+    "auto" (dense up to dimension 1200).
 
     Only the dense path proves minimality.  On the LOBPCG path the
     explicit M^2 Ritz residual certifies that the returned value is *a*

@@ -47,7 +47,6 @@ SECTOR_TOL = 1.0e-10
 
 @dataclass(frozen=True)
 class HolonomyResult:
-    curve: CurveTrace
     phase_integral: complex
     offset: float
     step: float
@@ -103,9 +102,9 @@ def transport(p: CkfParams, spec: Optional[PotentialSpec],
 
 
 def frame_spinor(p: CkfParams, x):
-    """(e_plus, e_minus) at x: e0 with (sigma.N) e0 = e0, |e0|^2 = 2, split
-    by the projections P_pm = (I pm S)/2; N is the local plane normal
-    Y/|Y|.  Both returned spinors are unit length when X.Y = 0."""
+    """(e_plus, e_minus) at x: e0 with (sigma.n) e0 = e0, |e0|^2 = 2, split
+    by the projections P_pm = (I pm S)/2; n is the plane normal Y/|Y|.
+    Both returned spinors are unit length when X.Y = 0."""
     ctx = _Field(p, None, np.asarray(x, dtype=float).reshape(3))
     Y = np.array(ctx.Y)
     absY = float(np.linalg.norm(Y))
@@ -116,13 +115,14 @@ def frame_spinor(p: CkfParams, x):
     return tuple(np.array(E) for E in _P_pair(ctx, e0))
 
 
-def _e0_from_normal(N):
-    # two algebraic branches keep the construction away from division blowup
-    if N[2] > -1.0 + 1.0e-6:
-        r = 1.0 / np.sqrt(1.0 + N[2])
-        return (complex((1.0 + N[2]) * r), complex(N[0], N[1]) * r)
-    r = 1.0 / np.sqrt(1.0 - N[2])
-    return (complex(N[0], -N[1]) * r, complex((1.0 - N[2]) * r))
+def _e0_from_normal(n):
+    # e0 with (sigma.n) e0 = e0 for the plane normal n = Y/|Y|; two algebraic
+    # branches keep the construction away from division blowup
+    if n[2] > -1.0 + 1.0e-6:
+        r = 1.0 / np.sqrt(1.0 + n[2])
+        return (complex((1.0 + n[2]) * r), complex(n[0], n[1]) * r)
+    r = 1.0 / np.sqrt(1.0 - n[2])
+    return (complex(n[0], -n[1]) * r, complex((1.0 - n[2]) * r))
 
 
 def _sector_coefficients(ctx: _Field, trace: CurveTrace):
@@ -170,8 +170,8 @@ def admissible_spectrum(p: CkfParams, spec: Optional[PotentialSpec],
         raise SectorMismatch(mismatch, SECTOR_TOL)
     vs_scalar = float(max(np.abs(cp - vals).max(), np.abs(cm - vals).max()))
 
-    return HolonomyResult(curve=trace, phase_integral=phase, offset=offset,
-                          step=step, monodromy_at_zero=mono0,
+    return HolonomyResult(phase_integral=phase, offset=offset, step=step,
+                          monodromy_at_zero=mono0,
                           quantization_residual=residual,
                           sector_mismatch=mismatch,
                           sector_vs_scalar=vs_scalar)

@@ -55,6 +55,7 @@ __all__ = [
 PARALLEL_TOL = 1.0e-8       # largest residual that counts as parallel
 PARALLEL_FLOOR = 1.0e-300   # avoids 0/0 at isolated zeros of B
 CURL_ROUNDOFF = 16.0        # c in |error of B| <= c eps max_ij |d_i A_j|
+LOSYAU_TOL = 1.0e-10        # largest certificate residual of the control
 
 
 # -- scalar profiles -------------------------------------------------------
@@ -458,16 +459,15 @@ def losyau_potential_from_mode(psi, t):
     return comps, max_imag
 
 
-def construct_losyau(n_points: int = 1000, rng_seed: int = 7,
-                     tol: float = 1.0e-10):
+def construct_losyau(n_points: int = 1000, rng_seed: int = 7):
     """Build the zero-mode control pair and certify it.
 
     The potential is defined pointwise by the mode itself; the closed form
     wired into ``potential_components`` must agree, the imaginary parts of
     the defining ratio must vanish, the mode must satisfy D psi = 0, and
-    curl A must be parallel to the isoclinic field.  Any excess raises
-    ConstructionFailed: that signals an algebra error, not a runtime
-    condition.
+    curl A must be parallel to the isoclinic field.  Any residual above
+    LOSYAU_TOL raises ConstructionFailed: that signals an algebra error,
+    not a runtime condition.
     """
     rng = np.random.default_rng(rng_seed)
     pts = rng.normal(scale=1.5, size=(3, n_points))
@@ -488,6 +488,7 @@ def construct_losyau(n_points: int = 1000, rng_seed: int = 7,
 
     par = float(np.max(_parallel_residual(A, eval_ckf(field_iso(), pts))))
 
+    tol = LOSYAU_TOL
     if max_imag > tol or mismatch > tol or dirac_residual > tol or par > tol:
         raise ConstructionFailed(
             "zero-mode control failed certification: "

@@ -189,7 +189,8 @@ def norm_decomposition_check(p: CkfParams, spec: Optional[PotentialSpec],
                              f: SpinorField, grid: QuadBox):
     """||Dw f||_w^2 vs ||T+ f||_w^2 + ||T- f||_w^2 + ||Q f||_w^2.
 
-    T_pm = P_pm Dw P_mp.  Returns (lhs, (t_plus, t_minus, q), rel_err).
+    T_pm = P_pm Dw P_mp.  Returns (lhs, (t_plus, t_minus, q), rel_err);
+    raises SupportViolation when lhs is 0, which makes rel_err undefined.
     Streams the tensor-product Gauss-Legendre grid in z-slabs to bound
     memory; accumulation order is fixed, so results are reproducible.
     """
@@ -253,6 +254,11 @@ def norm_decomposition_check(p: CkfParams, spec: Optional[PotentialSpec],
         t_minus += accum(_P_pair(ctx, _Dw_core(ctx, Fp))[1])
         q_term += accum(_Q_core(ctx, F))
 
+    if lhs == 0.0:
+        raise SupportViolation(
+            f"||Dw f||_w^2 is 0 on the quadrature nodes, so the relative "
+            f"error is undefined: the box must hold the spinor's support "
+            f"(support-scan peak {peak:.3e})")
     rel_err = abs(lhs - (t_plus + t_minus + q_term)) / lhs
     return lhs, (t_plus, t_minus, q_term), rel_err
 
@@ -288,15 +294,14 @@ def chi0_prime(t):
 
 
 def chi0_prime_max() -> float:
-    """||chi0'||_inf, computed once by dense sampling of (0, 1)."""
-    global _CHI0_PRIME_MAX
-    if _CHI0_PRIME_MAX is None:
-        t = np.linspace(0.0, 1.0, 200001)
-        _CHI0_PRIME_MAX = float(np.abs(chi0_prime(t)).max())
-    return _CHI0_PRIME_MAX
+    """||chi0'||_inf = 2, exactly.
 
-
-_CHI0_PRIME_MAX = None
+    chi0 = s(-u) with the logistic s(u) = 1/(1 + e^-u) and
+    u = 1/(1-t) - 1/t, so |chi0'| = u' s(u) s(-u).  That is symmetric about
+    t = 1/2 and increasing on (0, 1/2], so the maximum sits at t = 1/2,
+    where u' = 8 and s(0)^2 = 1/4.
+    """
+    return 2.0
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ operator needs them.  The families:
                        support away from the axis).
 * ``losyau_mode``      (1+|x|^2)^{-3/2} (1 + i x3, i x1 - x2), the classical
                        zero mode of the isoclinic-field potential.
-* ``custom``           any callable on coordinate jets.
 
 Pauli convention: sigma_1, sigma_2, sigma_3 standard, so for a vector v
 
@@ -24,14 +23,14 @@ Pauli convention: sigma_1, sigma_2, sigma_3 standard, so for a vector v
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .jets import derivative, jexp, jconj, jwhere, order, truncate, value
 
 __all__ = [
-    "SpinorField", "gaussian_packet", "bump_packet", "losyau_mode", "custom",
+    "SpinorField", "gaussian_packet", "bump_packet", "losyau_mode",
     "eval_spinor", "sigma_apply", "spinor_inner", "spinor_abs",
     "PAULI", "smooth_bump_scalar",
 ]
@@ -110,25 +109,6 @@ class SpinorField:
     poly: Optional[tuple] = None   # ((coeff, (p1, p2, p3)), ...)
     u_range: Optional[tuple] = None
     z_range: Optional[tuple] = None
-    fn: Optional[Callable] = None
-
-    def to_dict(self) -> dict:
-        if self.kind == "custom":
-            raise ValueError("custom spinor fields are not serializable")
-        d = {"kind": self.kind}
-        if self.center is not None:
-            d["center"] = list(self.center)
-        if self.width is not None:
-            d["width"] = self.width
-        if self.spinor is not None:
-            d["spinor"] = [[z.real, z.imag] for z in self.spinor]
-        if self.poly is not None:
-            d["poly"] = [[c, list(p)] for c, p in self.poly]
-        if self.u_range is not None:
-            d["u_range"] = list(self.u_range)
-        if self.z_range is not None:
-            d["z_range"] = list(self.z_range)
-        return d
 
 
 def from_dict(d: dict) -> SpinorField:
@@ -171,10 +151,6 @@ def losyau_mode() -> SpinorField:
     return SpinorField(kind="losyau_mode")
 
 
-def custom(fn: Callable) -> SpinorField:
-    return SpinorField(kind="custom", fn=fn)
-
-
 def losyau_psi(xc):
     """(1+|x|^2)^{-3/2} (I + i x.sigma)(1,0) on coordinate jets."""
     x1, x2, x3 = xc
@@ -202,8 +178,6 @@ def eval_spinor(field: SpinorField, xc):
     """Spinor components [s0, s1] on coordinate jets (or plain arrays)."""
     if field.kind == "losyau_mode":
         return losyau_psi(xc)
-    if field.kind == "custom":
-        return field.fn(xc)
     if field.kind == "gaussian_packet":
         c = field.center
         d2 = ((xc[0] - c[0]) ** 2 + (xc[1] - c[1]) ** 2 + (xc[2] - c[2]) ** 2)

@@ -201,6 +201,14 @@ def test_spectrum_sweep_refuses_odd_grid(tmp_path, capsys):
     assert "FreeZeroMode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ts", ["0:20:0", "0:20:-2", "5:0:1"])
+def test_spectrum_sweep_rejects_an_empty_ts_range(tmp_path, capsys, ts):
+    assert run("spectrum-sweep", "--potential", "axial", "--grid", "8,3",
+               "--ts", ts, outdir=tmp_path) == 2
+    assert f"--ts {ts!r} is not a range" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum-sweep").exists()   # refused before work
+
+
 def test_control_losyau_cmd(tmp_path):
     assert run("control-losyau", "--grid", "12,2.5", "--ns", "8,12",
                "--points", "300", outdir=tmp_path) == 0

@@ -196,6 +196,15 @@ def test_lobpcg_uncertified_raises():
         sigma_min(op, method="lobpcg", maxiter=1, tol=1.0e-30)
 
 
+def test_solver_method_is_checked():
+    gs = GridSpec(L=2.0, n=8)
+    msg = "'auto', 'dense' or 'lobpcg', not 'desne'"
+    with pytest.raises(ValueError, match=msg):
+        sigma_min(assemble(gs, AXIAL), method="desne")
+    with pytest.raises(ValueError, match=msg):
+        scaling_sweep(AXIAL, [0.0, 1.0], gs, method="desne")
+
+
 class _MatmulOnly:
     """A matrix that offers only shape, dtype, @ and toarray, and counts
     the vectors it multiplies (the access the benchmark's tracer wraps)."""

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used there or re-exported."""
+"""Every name a library module imports is used there or re-exported, and
+every option a library function offers is set by some caller."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import ckfield
 
 MODULES = sorted(p for p in Path(ckfield.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _imported(tree):
@@ -35,3 +37,63 @@ def test_no_unused_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted(set(_imported(tree)) - used - _exported(tree))
     assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+def _options(tree):
+    """(function, parameter, positional parameters) of every defaulted
+    parameter; keyword-only ones carry no positional list."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            pos = [a.arg for a in args.posonlyargs + args.args]
+            for name in pos[len(pos) - len(args.defaults):]:
+                yield node.name, name, pos
+            for a, d in zip(args.kwonlyargs, args.kw_defaults):
+                if d is not None:
+                    yield node.name, a.arg, None
+
+
+def _calls(trees, classes):
+    """Callee name -> [(call, bound)]; a class call is a call of its
+    __init__, bound like a method call."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name):
+                name, bound = f.id, False
+            elif isinstance(f, ast.Attribute):
+                name, bound = f.attr, True
+            else:
+                continue
+            if name in classes:
+                name = "__init__"
+            calls.setdefault(name, []).append((node, bound))
+    return calls
+
+
+def _sets(call, bound, name, pos):
+    if any(k.arg in (None, name) for k in call.keywords):   # name= or **
+        return True
+    if pos is None:
+        return False
+    i = pos.index(name) - (bound and pos[0] in ("self", "cls"))
+    return (len(call.args) > i
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_option_is_set():
+    files = [f for d in ("src", "tests", "perfbench")
+             for f in sorted((ROOT / d).rglob("*.py"))]
+    trees = [ast.parse(f.read_text()) for f in files]
+    lib = {path: ast.parse(path.read_text()) for path in MODULES}
+    classes = {n.name for t in lib.values() for n in ast.walk(t)
+               if isinstance(n, ast.ClassDef)}
+    calls = _calls(trees, classes)
+    unset = [f"{path.stem}.{fn}({name})"
+             for path, tree in lib.items()
+             for fn, name, pos in _options(tree)
+             if not any(_sets(c, b, name, pos) for c, b in calls.get(fn, ()))]
+    assert not unset, f"options that no caller sets: {unset}"

@@ -423,6 +423,19 @@ def test_norm_decomposition_rejects_support_touching_zero_set():
         norm_decomposition_check(p, None, f, box)
 
 
+@pytest.mark.parametrize("f, ranges", [
+    # a box that misses the packet's support
+    (bump_packet((0.3, 2.2), (-0.9, 0.9)), ((3.0, 4.0),) * 3),
+    # a spinor that is zero everywhere
+    (bump_packet((0.3, 2.2), (-0.9, 0.9), spinor=(0.0, 0.0)),
+     ((-1.6, 1.6), (-1.6, 1.6), (-1.0, 1.0))),
+], ids=["box_misses_support", "zero_spinor"])
+def test_norm_decomposition_rejects_a_vanishing_spinor(f, ranges):
+    box = QuadBox(ranges, n=16)
+    with pytest.raises(SupportViolation, match=r"peak 0\.000e\+00"):
+        norm_decomposition_check(field_ro(), None, f, box)
+
+
 def test_norm_decomposition_needs_simple_rotation():
     f = bump_packet((0.3, 2.2), (-0.9, 0.9))
     box = QuadBox(((-1.6, 1.6), (-1.6, 1.6), (-1.0, 1.0)), n=16)
@@ -461,6 +474,11 @@ def test_chi0_prime_max_value():
     assert m == pytest.approx(2.0, abs=1.0e-9)
     # cached second call
     assert chi0_prime_max() == m
+
+
+def test_chi0_prime_max_is_exactly_two():
+    t = np.linspace(0.0, 1.0, 2_000_001)
+    assert np.abs(chi0_prime(t)).max() <= chi0_prime_max() == 2.0
 
 
 def test_cutoff_pair_validation():
