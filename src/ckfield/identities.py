@@ -89,11 +89,12 @@ def _vmax(v):
 def _directional_w(alpha: float) -> Callable[[_Ctx], np.ndarray]:
     def res(ctx: _Ctx):
         # X.grad(w^a) = (a/2) w^(a-2) X.grad(w^2), compared against
-        # (a/3) (div X) w^a
+        # (a/3) (div X) w^a; relative to |rhs| where that exceeds 1, since
+        # for a < 0 both terms grow like w^a as w -> 0
         xgw2 = np.einsum("i...,i...->...", ctx.Xv, ctx.gw2)
         lhs = 0.5 * alpha * ctx.w ** (alpha - 2.0) * xgw2
         rhs = (alpha / 3.0) * ctx.divX * ctx.w ** alpha
-        return np.abs(lhs - rhs)
+        return np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
     return res
 
 

@@ -11,12 +11,13 @@ import scipy.sparse as sp
 
 from ckfield.errors import FreeZeroMode, GridTooLarge, NoConvergence
 from ckfield.grid import (GridOperator, GridSpec, _d1_matrix, _free_inverse,
-                          _sigma_min_block, _stencil, assemble, axis_points,
-                          free_sigma_min, grid_points, scaling_sweep,
-                          sigma_min, zeromode_residual_on_grid)
+                          _rotation_sectors, _sigma_min_block, _stencil,
+                          assemble, axis_points, free_sigma_min, grid_points,
+                          scaling_sweep, sigma_min,
+                          zeromode_residual_on_grid)
 from ckfield.potentials import (axial, eval_potential, gauge_pair, gauged,
-                                hopfbase, lossyau, modulated, scaled,
-                                smoothbump)
+                                gaussian, hopfbase, lossyau, modulated,
+                                scaled, smoothbump)
 from ckfield.spinors import PAULI, losyau_mode
 
 AXIAL = axial(smoothbump(0.2, 4.0, 0.7))
@@ -230,6 +231,50 @@ def test_lobpcg_needs_only_matmul():
                                  potential=op.potential), method="lobpcg")
     assert wrapped.products > 0
     assert got == pytest.approx(sigma_min(op, method="dense"), rel=1.0e-9)
+
+
+@pytest.mark.parametrize("coupling", ["site", "link"])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("spec", [
+    lossyau(), scaled(SWEEP_SPEC, 20.0), hopfbase(1.0),
+    scaled(SWEEP_MODULATED, 20.0)])
+def test_rotation_sectors_split_the_spectrum_exactly(spec, order, coupling):
+    # the four 90-degree-rotation sectors of dim/4 together hold every
+    # eigenvalue: a wrong phase would move levels even where the minimum
+    # happens to agree
+    op = assemble(GridSpec(L=6.0, n=8, order=order, coupling=coupling), spec)
+    D = op.matrix.toarray()
+    ref = np.linalg.eigvalsh(D)
+    blocks = _rotation_sectors(D, 8)
+    assert [B.shape for B in blocks] == [(op.dim // 4,) * 2] * 4
+    got = np.sort(np.concatenate([np.linalg.eigvalsh(B) for B in blocks]))
+    np.testing.assert_allclose(got, ref, rtol=0.0,
+                               atol=1.0e-12 * np.abs(ref).max())
+    assert sigma_min(op, method="dense") == pytest.approx(
+        np.abs(ref).min(), rel=1.0e-12)
+
+
+@pytest.mark.parametrize("gs,spec", [
+    (GridSpec(L=6.0, n=8), gauged(axial(gaussian(0.5, 1.0)), "x1x2x3")),
+    (GridSpec(L=6.0, n=9), lossyau())])
+def test_dense_path_without_rotation_symmetry_is_the_full_solve(gs, spec):
+    # a nonlinear gauge breaks the rotation far above roundoff, and odd n
+    # has fixed sites on the axis: both diagonalize the whole matrix
+    op = assemble(gs, spec)
+    D = op.matrix.toarray()
+    assert len(_rotation_sectors(D, gs.n)) == 1
+    ref = float(np.abs(np.linalg.eigvalsh(D)).min())
+    assert sigma_min(op, method="dense") == ref
+
+
+def test_dense_path_needs_only_toarray():
+    # no products, so the benchmark's matvec count stays LOBPCG's alone
+    op = assemble(GridSpec(L=6.0, n=8), lossyau())
+    wrapped = _MatmulOnly(op.matrix)
+    got = sigma_min(GridOperator(matrix=wrapped, grid=op.grid,
+                                 potential=op.potential), method="dense")
+    assert wrapped.products == 0
+    assert got == sigma_min(op, method="dense")
 
 
 def test_lobpcg_unreachable_tol_keeps_best_iterate():

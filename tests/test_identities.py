@@ -122,6 +122,16 @@ def test_general_identities_hold_for_any_ckf(a, b0, b, c, x):
         assert rep.residual <= 1e-10 * max(scale, 1.0), (key, rep.residual)
 
 
+@pytest.mark.parametrize("z", [1.0e-10, 1.0e-9, 1.0e-6])
+def test_general_identities_hold_near_a_dilation_zero(z):
+    # the terms of directional_w_-1 grow like 1/w as w = 1.5 z -> 0; its
+    # residual is measured relative to them, so roundoff stays roundoff
+    p = _params((0.0, 0.0, 0.0), 1.5, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    for key in GENERAL_IDS:
+        rep = check_identity(key, p, (0.0, 0.0, z))
+        assert rep.passed, (key, rep.residual)
+
+
 def test_simple_only_identities_on_simple_fields(rng):
     for p in (field_ro(), field_cr(0.5), field_cr(2.0)):
         pts = sample_points(p, 50, rng)
