@@ -252,24 +252,17 @@ class FieldFrame:
 
 
 def frame_at(p: CkfParams, x) -> FieldFrame:
-    """Frame quantities at a single point."""
+    """Frame quantities at a single point; T, N, B need w and |Y| above
+    eps = frame_threshold(p), and |X x Y| above eps^2 (X not parallel to Y)."""
     x = np.asarray(x, dtype=float)
-    X = eval_ckf(p, x)
-    Y = eval_ckf_curl(p, x)
+    X, w, divX, Y = frame_quantities(p, x)
+    X, Y, w = np.stack(X), np.stack(Y), float(w)
     XxY = np.stack(vcross(X, Y))
-    w = float(np.linalg.norm(X))
-    ny = float(np.linalg.norm(Y))
+    ny, nxy, eps = _norm(Y), _norm(XxY), frame_threshold(p)
     T = N = B = None
-    if w > EPS_FRAME and ny > EPS_FRAME:
-        T = X / w
-        B = Y / ny
-        nxy = float(np.linalg.norm(XxY))
-        if nxy > EPS_FRAME * EPS_FRAME:
-            N = XxY / nxy
-        else:
-            # X parallel to Y; no transverse direction
-            T = N = B = None
-    return FieldFrame(x=x, X=X, w=w, divX=float(div_ckf(p, x)), Y=Y,
+    if w > eps and ny > eps and nxy > eps * eps:
+        T, N, B = X / w, XxY / nxy, Y / ny
+    return FieldFrame(x=x, X=X, w=w, divX=float(divX), Y=Y,
                       XxY=XxY, _T=T, _N=N, _B=B)
 
 

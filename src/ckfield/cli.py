@@ -89,15 +89,22 @@ def _parse_potential(s):
         raise ValueError(f"cannot parse --potential {s!r}: {exc}") from exc
 
 
+def _numbers(s: str, count: int, flag: str) -> list:
+    v = [float(x) for x in s.split(",")] if s else []
+    if len(v) != count:
+        raise ValueError(f"{flag} needs {count} numbers, got {len(v)}: {s!r}")
+    return v
+
+
 def _parse_spinor(s: str) -> SpinorField:
     s = s.strip()
     if s == "losyau":
         return losyau_mode()
     if s.startswith("gaussian:"):
-        v = [float(x) for x in s.split(":")[1].split(",")]
+        v = _numbers(s.split(":")[1], 4, "--spinor gaussian:")
         return gaussian_packet(center=v[:3], width=v[3])
     if s.startswith("bump:"):
-        v = [float(x) for x in s.split(":")[1].split(",")]
+        v = _numbers(s.split(":")[1], 4, "--spinor bump:")
         return bump_packet(u_range=(v[0], v[1]), z_range=(v[2], v[3]))
     try:
         return spinor_from_dict(json.loads(s))
@@ -232,8 +239,7 @@ def _cmd_field_lines(cfg) -> int:
             "closed": tr.closed, "period": tr.period,
             "closure_error": tr.closure_error,
             "plane_normal": _jsonable(tr.plane_normal),
-            "analytic": tr.analytic, "samples": int(tr.ts.size),
-            "nfev": tr.nfev, "steps": tr.steps,
+            "samples": int(tr.ts.size), "nfev": tr.nfev, "steps": tr.steps,
             "speed_ratio": tr.speed_ratio})
         if tr.closed:
             dev, kres = planarity_and_curvature(tr, p)
@@ -304,7 +310,7 @@ def _cmd_verify_operators(cfg) -> int:
         nq = int(cfg["quadrature"])
         box = cfg.get("box")
         if box:
-            lohi = [float(v) for v in box.split(",")]
+            lohi = _numbers(box, 6, "--box")
             ranges = tuple((lohi[2 * i], lohi[2 * i + 1]) for i in range(3))
         else:
             ranges = ((-2.2, 2.2), (-2.2, 2.2), (-1.7, 1.7))

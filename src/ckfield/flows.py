@@ -11,13 +11,13 @@ reported open, as is one that reaches t_max without returning.
 
 A closed orbit is a Moebius image of a uniformly traversed circle, so every
 loop integrand is analytic and tau-periodic in t, with its nearest pole at
-distance ln(1/rho) in the angle variable, rho = (sqrt R - 1)/(sqrt R + 1)
-and R the ratio of the largest to the smallest speed on the orbit (R is
-measured on 1024 samples of the dense solution).  The periodic trapezoidal
-rule then has error O(rho^N), and the trace carries its N = max(64,
-ceil(ln eps / ln rho)) equispaced nodes with weights tau/N, eps below
-double roundoff.  Orbits hugging the degenerate circle (rho near 1) get
-more nodes: a few hundred at rho = 0.9.
+distance ln(1/rho) in the angle variable.  The orbit's Moebius invariant
+rho comes in closed form from the canonical form `classify` returns: 0 for
+rotations, |z - mu| / |z + mu| for special fields, with z = r + i h the
+seed's distance from the axis and height along it and mu = sqrt(2 nu).  The
+periodic trapezoidal rule then has error O(rho^N), and the trace carries its
+N = max(64, ceil(ln eps / ln rho)) equispaced nodes with weights tau/N, eps
+below double roundoff: a few hundred at rho = 0.9.
 
 `loop_integrals` and `planarity_and_curvature` read X, w, div X, Y, A and
 the jets of X from a `potentials._Field` context on the trace nodes;
@@ -26,14 +26,15 @@ the jets of X from a `potentials._Field` context on the trace nodes;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .ckf import (CkfParams, EPS_FRAME, classify, eval_ckf, eval_ckf_curl,
-                  frame_threshold)
+from .ckf import (CanonicalForm, CkfParams, _norm, classify, eval_ckf,
+                  eval_ckf_curl, frame_threshold)
 from .errors import (BlowUp, FrameUndefined, IntegrationFailed,
                      NotAdmissible, NotClosed, NotSimpleRotation, ZeroField)
 from .jets import partial, seed, value, vcross, vdot
@@ -51,7 +52,7 @@ ESCAPE_RADIUS = 1.0e6
 TOL_CLOSE = 1.0e-10
 MIN_NODES = 64
 TRAPEZOID_EPS = 1.0e-17     # target rho^N of the trapezoid error, below roundoff
-SPEED_PROBES = 1024
+AXIS_TOL = 1.0e-12          # distance from a special field's axis that is on it
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,11 +61,11 @@ class CurveTrace:
 
     A closed trace (`closed`, `period` = tau) holds the N nodes k tau / N of
     the periodic trapezoidal rule and the weights tau / N, so sums of
-    weights * f(xs) are loop integrals.  An open trace holds N equispaced
-    samples of [0, t_end] and weights None: no integral in the library
-    accepts it.  nfev and steps count the solver's right-hand-side calls
-    and accepted steps; speed_ratio is max/min |X| on the traced arc, which
-    sets N.
+    weights * f(xs) are loop integrals.  An open trace holds MIN_NODES
+    equispaced samples of [0, t_end] and weights None: no integral in the
+    library accepts it.  nfev and steps count the solver's right-hand-side
+    calls and accepted steps.  speed_ratio, max/min |X| on the whole orbit,
+    is exact: ((1 + rho)/(1 - rho))^2 for its invariant rho, which sets N.
     """
 
     ts: np.ndarray                  # (N,)
@@ -78,7 +79,6 @@ class CurveTrace:
     nfev: int
     steps: int
     speed_ratio: float
-    analytic: Optional[dict] = None
 
     @property
     def samples(self):
@@ -130,27 +130,6 @@ def _rhs(p: CkfParams):
     return f
 
 
-def _analytic_tag(p: CkfParams, x0: np.ndarray) -> Optional[dict]:
-    zero = np.zeros(3)
-    e3 = np.array([0.0, 0.0, 1.0])
-    if (np.array_equal(p.a, zero) and p.b0 == 0.0
-            and np.array_equal(p.b, e3) and np.array_equal(p.c, zero)):
-        return {"tag": "RoCircle", "rho": float(np.hypot(x0[0], x0[1])),
-                "x3": float(x0[2])}
-    if (p.b0 == 0.0 and np.array_equal(p.b, zero)
-            and np.array_equal(p.c, e3) and p.a[0] == 0.0 and p.a[1] == 0.0
-            and p.a[2] > 0.0):
-        mu = float(np.sqrt(2.0 * p.a[2]))
-        r = float(np.hypot(x0[0], x0[1]))
-        if r < 1.0e-12:
-            return {"tag": "CrAxis", "mu": mu}
-        z = complex(r, float(x0[2]))
-        rho = abs(z - mu) / abs(z + mu)
-        return {"tag": "CrCurve", "mu": mu, "rho": float(rho),
-                "theta": float(np.arctan2(x0[1], x0[0]))}
-    return None
-
-
 def cr_orbit_seed(mu: float, rho: float, theta: float = 0.0) -> np.ndarray:
     """Point of the circular-field orbit with invariant rho, at x3 = 0."""
     if not 0.0 <= rho < 1.0:
@@ -172,13 +151,27 @@ def cr_orbit_closed_form(mu: float, rho: float, theta: float, ts):
     return np.stack([r * np.cos(theta), r * np.sin(theta), x3])
 
 
-def _trapezoid_nodes(speed_ratio: float) -> int:
-    """N = max(64, ceil(ln eps / ln rho)), rho = (sqrt R - 1)/(sqrt R + 1)."""
-    q = np.sqrt(speed_ratio)
-    rho = (q - 1.0) / (q + 1.0)
+def _orbit_rho(cf: CanonicalForm, x0: np.ndarray) -> float:
+    """Moebius invariant rho of the orbit through x0; X = scale X_cr(mu) in
+    a special field's canonical coordinates, so the scale drops out.  The
+    axis curve, a line through infinity, has rho = 1."""
+    if cf.kind != "Special":
+        return 0.0
+    y = x0 - cf.x0
+    h = float(y @ cf.axis)
+    r = _norm(y - h * cf.axis)
+    if r <= AXIS_TOL:
+        return 1.0
+    mu = math.sqrt(2.0 * cf.nu)
+    z = complex(r, h)
+    return abs(z - mu) / abs(z + mu)
+
+
+def _trapezoid_nodes(rho: float) -> int:
+    """N = max(64, ceil(ln eps / ln rho)) for an orbit of invariant rho < 1."""
     if rho <= 0.0:
         return MIN_NODES
-    return max(MIN_NODES, int(np.ceil(np.log(TRAPEZOID_EPS) / np.log(rho))))
+    return max(MIN_NODES, math.ceil(math.log(TRAPEZOID_EPS) / math.log(rho)))
 
 
 def integrate_curve(p: CkfParams, x0, t_max: Optional[float] = None,
@@ -194,7 +187,8 @@ def integrate_curve(p: CkfParams, x0, t_max: Optional[float] = None,
     x0 = np.asarray(x0, dtype=float).reshape(3)
     X0 = eval_ckf(p, x0)
     w0 = float(np.linalg.norm(X0))
-    if w0 <= frame_threshold(p):
+    eps = frame_threshold(p)
+    if w0 <= eps:
         raise FrameUndefined("starting point is (numerically) a zero of X")
     nhat = X0 / w0
 
@@ -222,9 +216,9 @@ def integrate_curve(p: CkfParams, x0, t_max: Optional[float] = None,
     sol = solve_ivp(_rhs(p), (0.0, t_max), x0, method="DOP853",
                     rtol=rtol, atol=atol, max_step=max_step,
                     events=(section, blowup), dense_output=True)
+    rho = _orbit_rho(cf, x0)
     if len(sol.t_events[1]) > 0:
-        tag = _analytic_tag(p, x0)
-        extra = " (axis curve of a circular field)" if tag and tag["tag"] == "CrAxis" else ""
+        extra = " (axis curve of a circular field)" if rho == 1.0 else ""
         raise BlowUp(f"|curve| reached {ESCAPE_RADIUS:g} at "
                      f"t = {sol.t_events[1][0]:.6g}{extra}")
     if not sol.success and sol.status != 1:
@@ -244,22 +238,18 @@ def integrate_curve(p: CkfParams, x0, t_max: Optional[float] = None,
     closed = period is not None
     t_end = period if closed else float(sol.t[-1])
 
-    probe = sol.sol(np.linspace(0.0, t_end, SPEED_PROBES))
-    speeds = np.linalg.norm(eval_ckf(p, probe), axis=0)
-    ratio = float(speeds.max() / max(speeds.min(), 1.0e-30))
-    n = _trapezoid_nodes(ratio)
     if closed:
-        ts, wts = periodic_trapezoid(t_end, n)
+        ts, wts = periodic_trapezoid(t_end, _trapezoid_nodes(rho))
     else:
-        ts, wts = np.linspace(0.0, t_end, n), None
+        ts, wts = np.linspace(0.0, t_end, MIN_NODES), None
     xs = sol.sol(ts)
+    ratio = ((1.0 + rho) / (1.0 - rho)) ** 2 if rho < 1.0 else math.inf
 
     return CurveTrace(ts=ts, xs=xs, weights=wts, closed=closed,
                       period=period,
-                      plane_normal=(Y0 / absY0 if absY0 > EPS_FRAME else None),
+                      plane_normal=(Y0 / absY0 if absY0 > eps else None),
                       x0=x0, closure_error=closure, nfev=int(sol.nfev),
-                      steps=int(sol.t.size - 1), speed_ratio=ratio,
-                      analytic=_analytic_tag(p, x0))
+                      steps=int(sol.t.size - 1), speed_ratio=ratio)
 
 
 def loop_integrals(trace: CurveTrace, p: CkfParams,

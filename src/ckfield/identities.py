@@ -9,6 +9,9 @@ evaluation chain.  Residuals are exact up to roundoff.
 The registry is keyed by stable string ids.  Identities marked simple_only
 hold only when X . Y = 0 (the simple-rotation condition); the suite skips
 them for generic fields.
+
+Points need w above the absolute `ckf.EPS_FRAME`, not the scaled
+`ckf.frame_threshold(p)`: batched `CkfParams` have no single scale.
 """
 
 from __future__ import annotations
@@ -276,7 +279,8 @@ def check_identity(identity_id: str, p: CkfParams, x,
 
 
 def sample_points(p: CkfParams, n_points: int, rng) -> np.ndarray:
-    """Uniform points in [-2, 2]^3 with w > eps_frame, shape (3, n)."""
+    """Uniform points in [-2, 2]^3 with w > EPS_FRAME, shape (3, n); raises
+    FrameUndefined if a round of candidates has none (the zero field)."""
     kept = []
     total = 0
     while total < n_points:
@@ -284,6 +288,9 @@ def sample_points(p: CkfParams, n_points: int, rng) -> np.ndarray:
         w = np.linalg.norm(
             np.stack(ckf_components(p, [cand[0], cand[1], cand[2]])), axis=0)
         good = cand[:, w > EPS_FRAME]
+        if not good.size:
+            raise FrameUndefined(f"no candidate has w > {EPS_FRAME:g}; the "
+                                 f"largest w is {w.max():.3e}")
         kept.append(good)
         total += good.shape[1]
     return np.concatenate(kept, axis=1)[:, :n_points]

@@ -35,8 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ckf import (CkfParams, EPS_FRAME, eval_ckf, field_ro, field_cr,
-                  field_iso, frame_quantities)
+from .ckf import (CkfParams, eval_ckf, field_ro, field_cr, field_iso,
+                  frame_quantities, frame_threshold)
 from .errors import ConstructionFailed, FrameUndefined, NotParallel
 from .jets import (seed, value, derivative, order, partial, truncate, jexp,
                    jsqrt, jsin, jcos, jreal, jimag, vcross, vcurl, vnorm2)
@@ -506,9 +506,10 @@ def fw3_along_curve(spec: PotentialSpec, trace):
     (values, spread) with spread = max - min.
     """
     xs = np.asarray(getattr(trace, "xs", trace), dtype=float)
-    ctx = _Field(parent_field(spec), spec, seed(xs, order=1))
+    p = parent_field(spec)
+    ctx = _Field(p, spec, seed(xs, order=1))
     w = value(ctx.w)
-    if np.any(w <= EPS_FRAME):
+    if np.any(w <= frame_threshold(p)):
         raise FrameUndefined("trace sample with w below the frame threshold")
     B = _field_values(ctx.A, xs.shape[1:])
     X = np.stack([value(c) for c in ctx.X])

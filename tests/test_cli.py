@@ -49,6 +49,34 @@ def test_version_and_usage_errors(tmp_path):
     assert run("field-lines", "--ckf", "ro", outdir=tmp_path) == 2
 
 
+def test_malformed_number_lists_are_usage_errors(tmp_path, capsys):
+    base = ("verify-operators", "--ckf", "ro", "--points", "2")
+    for flag, extra in (
+            ("--box", ("--quadrature", "8", "--box=-1,1,-1,1,-1")),
+            ("--box", ("--quadrature", "8", "--box=-1,1,-1,1,-1,1,2")),
+            ("--spinor gaussian:", ("--spinor", "gaussian:1,0,0")),
+            ("--spinor gaussian:", ("--spinor", "gaussian:1,0,0,0.5,2")),
+            ("--spinor bump:", ("--spinor", "bump:0.3,2.2,-0.9")),
+            ("--spinor bump:", ("--spinor", "bump:"))):
+        assert run(*base, *extra, outdir=tmp_path) == 2
+        assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ckf", ['{"a": [0, 0, 0]}',
+                                 '{"a": [1e-12, 0, 0], "c": [0, 1e-12, 0]}'])
+def test_identity_run_without_sample_points_is_an_error(tmp_path, ckf):
+    # w is below EPS_FRAME on the whole sampling box: no point can be
+    # drawn, and the run must stop instead of drawing forever
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-m", "ckfield.cli",
+                          "verify-identities", "--ckf", ckf,
+                          "--outdir", str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 2
+    assert "FrameUndefined" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_config_file_merge_and_flag_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"ckf": "ro", "points": 30,

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import ckfield.holonomy
-from ckfield.ckf import (CkfParams, EPS_FRAME, div_ckf, eval_ckf,
-                         eval_ckf_curl, field_cr, field_ro, frame_threshold)
+from ckfield.ckf import (CanonicalForm, CkfParams, EPS_FRAME, div_ckf,
+                         eval_ckf, eval_ckf_curl, field_cr, field_ro,
+                         frame_at, frame_threshold, reconstruct)
 from ckfield.errors import FrameUndefined
 from ckfield.flows import cr_orbit_seed, integrate_curve, loop_integrals
 from ckfield.holonomy import admissible_spectrum, frame_spinor, phase_integrand
@@ -191,3 +192,42 @@ def test_frame_rule_is_relative_to_the_field_scale():
         frame_spinor(p, x)
     with pytest.raises(FrameUndefined):
         integrate_curve(p, x)
+
+
+def test_frame_at_uses_the_scaled_frame_rule():
+    # the field and point above: w is above EPS_FRAME but not above
+    # frame_threshold(p), so there is no frame
+    p = CkfParams(a=np.zeros(3), b0=0.0, b=np.array([0.0, 0.0, 1.0e3]),
+                  c=np.zeros(3))
+    fr = frame_at(p, [5.0e-11, 0.0, 0.0])
+    assert EPS_FRAME < fr.w <= frame_threshold(p)
+    for name in ("T", "N", "B"):
+        with pytest.raises(FrameUndefined):
+            getattr(fr, name)
+
+
+def test_fw3_along_curve_uses_the_scaled_frame_rule():
+    # hopfbase(mu) with mu^2 / 2 = 1e3: its parent field has scale 1e3, and
+    # w = 4.9e-8 just outside the degenerate circle of radius mu
+    mu = np.sqrt(2000.0)
+    spec = hopfbase(mu)
+    p = parent_field(spec)
+    xs = np.array([[mu + 1.1e-9], [0.0], [0.0]])
+    w = float(np.linalg.norm(eval_ckf(p, xs[:, 0])))
+    assert EPS_FRAME < w <= frame_threshold(p) == EPS_FRAME * p.scale()
+    with pytest.raises(FrameUndefined):
+        fw3_along_curve(spec, xs)
+
+
+def test_orbit_plane_normal_uses_the_scaled_frame_rule():
+    # special field of scale 1e3: |Y| = 2e3 r vanishes on the axis, so at
+    # r = 2.5e-11 it is 5e-8, above EPS_FRAME but not above the threshold
+    p = reconstruct(CanonicalForm(kind="Special", x0=np.zeros(3),
+                                  axis=np.array([0.0, 0.0, 1.0]), scale=1.0e3,
+                                  nu=0.5, admissible=True))
+    x = np.array([2.5e-11, 0.0, 0.3])
+    ny = float(np.linalg.norm(eval_ckf_curl(p, x)))
+    assert EPS_FRAME < ny <= frame_threshold(p)
+    tr = integrate_curve(p, x, t_max=1.0e-4)
+    assert not tr.closed
+    assert tr.plane_normal is None

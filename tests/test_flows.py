@@ -49,7 +49,6 @@ def test_ro_orbit_is_closed_circle():
     assert np.abs(tr.xs[2] - 0.4).max() < 1.0e-9
     # Y = 2 e3 everywhere, so the orbit plane normal is exactly e3
     np.testing.assert_allclose(tr.plane_normal, [0.0, 0.0, 1.0], atol=1.0e-15)
-    assert tr.analytic == {"tag": "RoCircle", "rho": 0.7, "x3": 0.4}
 
 
 def test_trace_weights_integrate_dt_to_period():
@@ -91,11 +90,6 @@ def test_cr_orbit_matches_closed_form():
     tr = integrate_curve(field_cr(mu), cr_orbit_seed(mu, rho, theta))
     exact = cr_orbit_closed_form(mu, rho, theta, tr.ts)
     assert np.abs(tr.xs - exact).max() < 1.0e-9
-    tag = tr.analytic
-    assert tag["tag"] == "CrCurve"
-    assert tag["mu"] == pytest.approx(mu, abs=1.0e-12)
-    assert tag["rho"] == pytest.approx(rho, abs=1.0e-12)
-    assert tag["theta"] == pytest.approx(theta, abs=1.0e-12)
 
 
 def test_rhs_matches_eval_ckf():
@@ -180,6 +174,61 @@ def test_generic_admissible_orbits(kind, seed):
     ints = loop_integrals(tr, p)
     assert abs(ints.int_div) <= 1.0e-9
     assert abs(ints.int_absY - 4.0 * np.pi) <= 1.0e-9
+
+
+def _generic(kind, rng):
+    """(field, seed, rho) for a rotated, translated and scaled copy of a
+    canonical field; rho is the seed orbit's Moebius invariant, from its
+    distance r to the axis and height h along it in canonical coordinates."""
+    axis, center = _unit(rng), rng.uniform(-2.0, 2.0, 3)
+    scale = rng.uniform(0.5, 2.0)
+    perp = np.cross(axis, _unit(rng))
+    perp /= np.linalg.norm(perp)
+    nu = rng.uniform(0.2, 2.0) if kind == "Special" else None
+    p = reconstruct(CanonicalForm(kind=kind, x0=center, axis=axis,
+                                  scale=scale, nu=nu, admissible=True))
+    r, h = rng.uniform(0.3, 3.0), rng.normal()
+    rho = 0.0
+    if kind == "Special":
+        mu = np.sqrt(2.0 * nu)
+        r, h = mu * r, mu * h
+        rho = abs(complex(r, h) - mu) / abs(complex(r, h) + mu)
+    return p, center + r * perp + h * axis, rho
+
+
+@pytest.mark.parametrize("kind,seed", [("Special", s) for s in (31, 32, 33, 34)]
+                         + [("Rotation", s) for s in (41, 42)])
+def test_speed_ratio_and_nodes_come_from_the_orbit_invariant(kind, seed):
+    p, x0, rho = _generic(kind, np.random.default_rng(seed))
+    tr = integrate_curve(p, x0)
+    assert tr.closed
+    ratio = ((1.0 + rho) / (1.0 - rho)) ** 2
+    assert tr.speed_ratio == pytest.approx(ratio, rel=1.0e-12, abs=0.0)
+    n = 64 if rho == 0.0 else max(64, int(np.ceil(np.log(1.0e-17)
+                                                  / np.log(rho))))
+    assert tr.ts.size == n == flows._trapezoid_nodes(rho)
+    # the traced nodes see nearly the whole speed range, and never more
+    speeds = np.linalg.norm(eval_ckf(p, tr.xs), axis=0)
+    seen = speeds.max() / speeds.min()
+    assert ratio * (1.0 - 2.0e-2) <= seen <= ratio * (1.0 + 1.0e-9)
+
+
+def test_axis_seed_of_a_generic_special_field_names_the_axis_curve():
+    rng = np.random.default_rng(51)
+    axis, center = _unit(rng), rng.uniform(-2.0, 2.0, 3)
+    p = reconstruct(CanonicalForm(kind="Special", x0=center, axis=axis,
+                                  scale=1.7, nu=0.8, admissible=True))
+    with pytest.raises(BlowUp, match="axis curve"):
+        integrate_curve(p, center + 0.3 * axis)
+
+
+def test_open_axis_curve_has_infinite_speed_ratio():
+    # stopped before it escapes: an open trace of MIN_NODES samples of a
+    # line through infinity
+    tr = integrate_curve(field_cr(1.0), [0.0, 0.0, 0.2], t_max=1.0)
+    assert not tr.closed
+    assert tr.ts.size == flows.MIN_NODES
+    assert tr.speed_ratio == np.inf
 
 
 def test_cr_orbit_seed_formula_and_validation():

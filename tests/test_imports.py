@@ -1,5 +1,6 @@
-"""Every name a library module imports is used there or re-exported, and
-every option a library function offers is set by some caller."""
+"""Every name a library module imports is used there or re-exported,
+every option a library function offers is set by some caller, and the
+frame threshold is decided in one place."""
 
 import ast
 from pathlib import Path
@@ -97,3 +98,31 @@ def test_every_option_is_set():
              for fn, name, pos in _options(tree)
              if not any(_sets(c, b, name, pos) for c, b in calls.get(fn, ()))]
     assert not unset, f"options that no caller sets: {unset}"
+
+
+def _readers(tree, name):
+    """The function enclosing each read of `name` (None at module level)."""
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if ((isinstance(child, ast.Name) and child.id == name
+                 and isinstance(child.ctx, ast.Load))
+                    or (isinstance(child, ast.Attribute)
+                        and child.attr == name)):
+                yield fn
+            yield from visit(child, fn)
+    return visit(tree, None)
+
+
+def test_one_frame_rule():
+    # every unbatched consumer reads the scaled ckf.frame_threshold(p);
+    # only identities, whose CkfParams may be batched, reads EPS_FRAME
+    reads = {(path.stem, fn) for path in MODULES
+             for fn in _readers(ast.parse(path.read_text()), "EPS_FRAME")}
+    assert ("ckf", "frame_threshold") in reads
+    stray = sorted(f"{mod}.{fn}" for mod, fn in reads
+                   if mod != "identities"
+                   and (mod, fn) != ("ckf", "frame_threshold"))
+    assert not stray, f"EPS_FRAME read outside frame_threshold: {stray}"
