@@ -22,13 +22,14 @@ import numpy as np
 from . import __version__
 from .ckf import (CkfParams, classify, field_cr, field_iso, field_ro,
                   field_ud, frame_quantities, reconstruct)
-from .errors import BlowUp, CkfieldError, NoConvergence
+from .errors import (BlowUp, CkfieldError, ConstructionFailed, NoConvergence,
+                     SectorMismatch)
 from .flows import (fixed_point_census, integrate_curve, loop_integrals,
                     planarity_and_curvature)
 from .grid import (SOLVE_TOL, GridSpec, assemble, free_sigma_min,
                    scaling_sweep, sigma_min, zeromode_residual_on_grid)
 from .holonomy import admissible_spectrum, transport
-from .identities import run_identity_suite, sample_points
+from .identities import DEFAULT_TOL, run_identity_suite, sample_points
 from .potentials import (axial, construct_losyau, eval_field, eval_potential,
                          hopfbase, lossyau, modulated, parent_field,
                          smoothbump, spec_from_dict)
@@ -205,7 +206,7 @@ def _cmd_verify_identities(cfg) -> int:
     d = _outdir(cfg, "verify-identities")
     reports = run_identity_suite(p, n_points=n, seed=seed)
     rows = [(r.identity_id, *(f"{v:.6g}" for v in r.point),
-             f"{r.residual:.3e}", f"{r.tolerance:.1e}", r.passed)
+             f"{r.residual:.3e}", f"{DEFAULT_TOL:.1e}", r.passed)
             for r in reports]
     _write_csv(d / "identities.csv",
                ("identity", "x1", "x2", "x3", "residual", "tol", "pass"), rows)
@@ -392,7 +393,8 @@ def _cmd_control_losyau(cfg) -> int:
     d = _outdir(cfg, "control-losyau")
     spec, mode = construct_losyau(n_points=npts, rng_seed=seed)
 
-    rng = np.random.default_rng(seed)
+    # not the points default_rng(seed) draws, which construct_losyau checked
+    rng = np.random.default_rng(seed).spawn(1)[0]
     pts = rng.normal(size=(3, npts), scale=1.5)
     Dv = apply_D(spec, mode, pts)
     psi = losyau_psi([pts[0], pts[1], pts[2]])
@@ -522,8 +524,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NoConvergence as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
+    except (NoConvergence, ConstructionFailed, SectorMismatch) as exc:
+        print(f"check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except CkfieldError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

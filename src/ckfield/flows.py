@@ -6,8 +6,9 @@ on the section, so the solver reports a crossing at t = 0 and stops at the
 next one, the first return: orbits of admissible fields in {w > 0} are
 circles (`classify` rejects every other field), so that return is the
 minimal period.  It counts as closed only if it lands within the closure
-tolerance of x0 after the small time floor t_min; otherwise the trace is
-reported open, as is one that reaches t_max without returning.
+tolerance of x0 after t_min; otherwise the trace is reported open, as is
+one that reaches t_max without returning.  By default [t_min, t_max] is
+[T/2, 2T] around the exact period T the canonical form gives.
 
 A closed orbit is a Moebius image of a uniformly traversed circle, so every
 loop integrand is analytic and tau-periodic in t, with its nearest pole at
@@ -195,10 +196,17 @@ def integrate_curve(p: CkfParams, x0, t_max: Optional[float] = None,
     Y0 = eval_ckf_curl(p, x0)
     absY0 = float(np.linalg.norm(Y0))
     tau_char = 4.0 * np.pi / absY0 if absY0 > 0.0 else None
+    rho = _orbit_rho(cf, x0)
+    if cf.kind != "Translation" and rho < 1.0:
+        mu = math.sqrt(2.0 * cf.nu) if cf.kind == "Special" else 1.0
+        T = 2.0 * math.pi / (cf.scale * mu)       # the exact period
+        t_min, t_default = 0.5 * T, 2.0 * T
+    elif tau_char is not None:      # open: the time scale of |Y(x0)|
+        t_min, t_default = 1.0e-6 * tau_char, 2000.0 * tau_char
+    else:                           # open, Y(x0) = 0: a translation or axis
+        t_min, t_default = 0.0, 100.0 * (1.0 + float(np.linalg.norm(x0))) / w0
     if t_max is None:
-        t_max = (2000.0 * tau_char if tau_char is not None
-                 else 100.0 * (1.0 + float(np.linalg.norm(x0))) / w0)
-    t_min = 1.0e-6 * tau_char if tau_char is not None else 0.0
+        t_max = t_default
 
     def section(t, y):
         return (y - x0) @ nhat
@@ -216,7 +224,6 @@ def integrate_curve(p: CkfParams, x0, t_max: Optional[float] = None,
     sol = solve_ivp(_rhs(p), (0.0, t_max), x0, method="DOP853",
                     rtol=rtol, atol=atol, max_step=max_step,
                     events=(section, blowup), dense_output=True)
-    rho = _orbit_rho(cf, x0)
     if len(sol.t_events[1]) > 0:
         extra = " (axis curve of a circular field)" if rho == 1.0 else ""
         raise BlowUp(f"|curve| reached {ESCAPE_RADIUS:g} at "

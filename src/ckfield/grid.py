@@ -43,15 +43,12 @@ M only through its shape and M @ B.  The Ritz residual of the
 unpreconditioned M^2, recomputed explicitly, certifies the result or
 NoConvergence is raised.
 
-The dense path (dimension <= 1200, or method "dense") proves minimality:
-it takes the smallest |eigenvalue| of M.toarray().  For even n it first
-splits that matrix into the four eigenspaces of the 90 degree rotation
-about x3 with spin factor exp(-i pi sigma3 / 4), four Hermitian blocks of
-dim/4 (16x fewer flops), whose spectra together are the spectrum.  The
-split is taken only where the measured asymmetry delta of the matrix
-moves no eigenvalue by more than the full eigensolve's own rounding:
-1.5 delta <= dim eps ||M||_F (Weyl).  Otherwise, and for odd n, the whole
-matrix is diagonalized.  The dense path multiplies no vectors.
+The solver is chosen by dimension alone (_sigma_min_block).  Up to
+_DENSE_DIM the dense path runs and proves minimality: it takes the
+smallest |eigenvalue| of M.toarray(), split for even n into the four
+sectors of the 90 degree rotation about x3 where the matrix has that
+symmetry to rounding (_rotation_sectors), and multiplies no vectors.
+Above it LOBPCG runs, and no dim x dim array is built.
 """
 
 from __future__ import annotations
@@ -82,6 +79,10 @@ _BLOCK = 6
 
 # residual norm at which a Ritz column of M^2 counts as converged
 SOLVE_TOL = 1.0e-7
+
+# sigma_min diagonalizes M up to this dimension and runs LOBPCG above it
+_DENSE_DIM = 1200
+_MAXITER = 5000             # LOBPCG iteration cap
 
 
 @dataclass(frozen=True)
@@ -157,11 +158,6 @@ def grid_points(gs: GridSpec) -> np.ndarray:
     return np.stack([X.ravel(), Y.ravel(), Z.ravel()])
 
 
-def _check_size(gs: GridSpec, max_dim: int):
-    if gs.dim > max_dim:
-        raise GridTooLarge(f"operator dimension {gs.dim} exceeds {max_dim}")
-
-
 # spin b that row spin a of a site reaches through sigma_k, per axis k:
 # sigma_x and sigma_y flip the spin, sigma_z keeps it
 _SPIN_TO = ((1, 0), (1, 0), (0, 1))
@@ -195,10 +191,9 @@ def _operator_matrix(gs: GridSpec, A: Optional[np.ndarray]) -> sp.csr_matrix:
     m = len(hops)
     width = 2 * m + 2 * onsite
     rows = 2 * n ** 3
-    # int32 indices while the padded arrays fit them
-    idx = np.int32 if rows * width <= np.iinfo(np.int32).max else np.int64
-    # column of slot j in spin row a, relative to 2 s
-    cols = np.empty((2, width), dtype=idx)
+    # column of slot j in spin row a, relative to 2 s; int32 indices hold
+    # rows * width <= MAX_DIM * 14 slots
+    cols = np.empty((2, width), dtype=np.int32)
     for i, (k, d, _) in enumerate(hops):
         for a in (0, 1):
             b = _SPIN_TO[k][a]
@@ -206,7 +201,7 @@ def _operator_matrix(gs: GridSpec, A: Optional[np.ndarray]) -> sp.csr_matrix:
             cols[a, width - 1 - i] = 2 * d * n ** (2 - k) + b
     if onsite:
         cols[:, m:m + 2] = (0, 1)
-    two_s = np.arange(0, rows, 2, dtype=idx)
+    two_s = np.arange(0, rows, 2, dtype=np.int32)
     indices = two_s.reshape(n, n, n, 1, 1) + cols
     data = np.zeros((n, n, n, 2, width), dtype=complex)
     if A is not None:
@@ -232,28 +227,29 @@ def _operator_matrix(gs: GridSpec, A: Optional[np.ndarray]) -> sp.csr_matrix:
         data[..., 1, m].real = 0.0 - A[0]
         data[..., 1, m].imag = 0.0 - A[1]
         data[..., 1, m + 1] = A[2]
-    indptr = np.arange(0, rows * width + 1, width, dtype=idx)
+    indptr = np.arange(0, rows * width + 1, width, dtype=np.int32)
     M = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr),
                       shape=(rows, rows))
     M.eliminate_zeros()
     return M
 
 
-def _assemble(gs: GridSpec, spec: Optional[PotentialSpec], max_dim: int):
-    """(M, grid_points(gs)); the points are returned for callers that
-    evaluate fields on the same sites."""
-    _check_size(gs, max_dim)
+def _on_sites(gs: GridSpec, spec: Optional[PotentialSpec]):
+    """(A on the sites, None without a potential, and grid_points(gs));
+    raises GridTooLarge above MAX_DIM before anything is allocated."""
+    if gs.dim > MAX_DIM:
+        raise GridTooLarge(f"operator dimension {gs.dim} exceeds {MAX_DIM}")
     pts = grid_points(gs)
-    A = eval_potential(spec, pts) if spec is not None else None
-    return _operator_matrix(gs, A), pts
+    return (eval_potential(spec, pts) if spec is not None else None), pts
 
 
-def assemble(gs: GridSpec, spec: Optional[PotentialSpec] = None,
-             max_dim: int = MAX_DIM) -> GridOperator:
-    """Sparse M approximating sigma.(-i grad - A) with Dirichlet walls."""
-    M, _ = _assemble(gs, spec, max_dim)
+def assemble(gs: GridSpec,
+             spec: Optional[PotentialSpec] = None) -> GridOperator:
+    """Sparse M approximating sigma.(-i grad - A) with Dirichlet walls;
+    raises GridTooLarge above MAX_DIM."""
+    A, _ = _on_sites(gs, spec)
     tag = spec_to_dict(spec) if spec is not None else None
-    return GridOperator(matrix=M, grid=gs, potential=tag)
+    return GridOperator(matrix=_operator_matrix(gs, A), grid=gs, potential=tag)
 
 
 def _free_spectrum(gs: GridSpec):
@@ -461,23 +457,20 @@ def _rotation_sectors(D: np.ndarray, n: int) -> list:
     return [D]
 
 
-def _sigma_min_block(op: GridOperator, rng_seed: int = 0,
-                     tol: float = SOLVE_TOL, maxiter: int = 5000,
-                     method: str = "auto", X0: Optional[np.ndarray] = None):
-    """(sigma_min, Ritz block, iterations, eta); sweeps warm-start from the
-    block.  The dense path returns (sigma_min, None, 0, 0.0)."""
-    if method not in ("auto", "dense", "lobpcg"):
-        raise ValueError(f"method must be 'auto', 'dense' or 'lobpcg', "
-                         f"not {method!r}")
+def _sigma_min_dense(op: GridOperator) -> float:
+    """The smallest |eigenvalue| of M.toarray(), sector by sector."""
+    blocks = _rotation_sectors(op.matrix.toarray(), op.grid.n)
+    return float(min(np.abs(np.linalg.eigvalsh(B)).min() for B in blocks))
+
+
+def _sigma_min_lobpcg(op: GridOperator, rng_seed: int, tol: float,
+                      maxiter: int, X0: Optional[np.ndarray]):
+    """(sigma, Ritz block, iterations, eta) from LOBPCG on M^2, started
+    from X0 or, if None, from a block seeded by rng_seed."""
     M = op.matrix
     dim = M.shape[0]
-    if method == "dense" or (method == "auto" and dim <= 1200):
-        blocks = _rotation_sectors(M.toarray(), op.grid.n)
-        sig = min(np.abs(np.linalg.eigvalsh(B)).min() for B in blocks)
-        return float(sig), None, 0, 0.0
-
     free_inv = _free_inverse(op.grid)
-    if X0 is None or X0.shape != (dim, _BLOCK):
+    if X0 is None:
         rng = np.random.default_rng(rng_seed)
         X0 = (rng.standard_normal((dim, _BLOCK))
               + 1j * rng.standard_normal((dim, _BLOCK)))
@@ -489,42 +482,41 @@ def _sigma_min_block(op: GridOperator, rng_seed: int = 0,
     eta = float(np.linalg.norm(r))
     lam = max(lam, 0.0)
     # Hermitian perturbation bound: some eigenvalue of M^2 lies within eta
-    if eta > 0.05 * max(lam, 1.0e-12):
-        raise NoConvergence(
-            f"LOBPCG residual {eta:.3e} does not certify the Ritz value "
-            f"{lam:.6e}; increase maxiter or lower tol")
+    bound = 0.05 * max(lam, 1.0e-12)
+    if eta > bound:
+        raise NoConvergence(f"LOBPCG residual {eta:.3e} > bound {bound:.3e} "
+                            f"on {lam:.6e} after {iterations} iterations")
     return float(np.sqrt(lam)), vecs, iterations, eta
 
 
-def sigma_min(op: GridOperator, rng_seed: int = 0, tol: float = SOLVE_TOL,
-              maxiter: int = 5000, method: str = "auto") -> float:
-    """sigma_min of M: the dense path's exact minimum, or LOBPCG's lowest
-    Ritz value of M^2 (square-rooted).  method is "dense", "lobpcg" or
-    "auto" (dense up to dimension 1200).
+def _sigma_min_block(op: GridOperator, rng_seed: int, tol: float,
+                     X0: Optional[np.ndarray]):
+    """(sigma_min, Ritz block or None, iterations, eta) by dimension."""
+    if op.dim <= _DENSE_DIM:
+        return _sigma_min_dense(op), None, 0, 0.0
+    return _sigma_min_lobpcg(op, rng_seed, tol, _MAXITER, X0)
 
-    Only the dense path proves minimality.  It diagonalizes the four
-    sectors of the 90 degree rotation about x3 where the matrix has that
-    symmetry to roundoff (asymmetry delta with 1.5 delta <=
-    dim eps ||M||_F, which bounds how far any eigenvalue moves, by Weyl),
-    and the whole matrix otherwise; the union of the sector spectra is
-    the spectrum.  On the LOBPCG path the explicit M^2 Ritz residual
-    certifies that the returned value is *a* singular value of M, not
-    that it is the smallest; a warm sweep can return a higher level (see
-    scaling_sweep).  Below a tol that rounding cannot reach (about 1e-13
-    and lower) the solver runs to maxiter and returns its best iterate,
-    which is still certified.
+
+def sigma_min(op: GridOperator, rng_seed: int = 0,
+              tol: float = SOLVE_TOL) -> float:
+    """sigma_min of M by the solver its dimension picks (module docstring).
+
+    Up to _DENSE_DIM the value is proven to be the minimum.  Above it the
+    explicit M^2 Ritz residual certifies only that it is *a* singular
+    value of M, and a warm sweep can return a higher level (scaling_sweep).
+    A tol below rounding (about 1e-13) runs LOBPCG to _MAXITER iterations;
+    its best iterate is returned, still certified.
     """
-    return _sigma_min_block(op, rng_seed=rng_seed, tol=tol, maxiter=maxiter,
-                            method=method)[0]
+    return _sigma_min_block(op, rng_seed, tol, None)[0]
 
 
 def scaling_sweep(spec: PotentialSpec, ts, gs: GridSpec,
-                  rng_seed: int = 0, **kw) -> SweepResult:
+                  rng_seed: int = 0, tol: float = SOLVE_TOL) -> SweepResult:
     """sigma_min(M[t A]) over the scaling values t.
 
     Consecutive solves reuse the previous Ritz block as the LOBPCG seed;
     for a slowly varying family this cuts the iteration count by an order
-    of magnitude without touching the certification in _sigma_min_block.
+    of magnitude without touching the certification in _sigma_min_lobpcg.
 
     Known fault: the warm block only follows the levels it holds.  When
     the smallest level crosses in from outside the block, the sweep
@@ -534,17 +526,15 @@ def scaling_sweep(spec: PotentialSpec, ts, gs: GridSpec,
     the dense minimum 0.11838; a cold solve there is exact.
     """
     ts = np.asarray(ts, dtype=float)
-    _check_size(gs, MAX_DIM)
     # t A_1 is bitwise eval_potential(scaled(spec, t)): scaling multiplies
     # each component by t
-    A1 = eval_potential(spec, grid_points(gs))
+    A1, _ = _on_sites(gs, spec)
     sigmas, iterations, residuals = [], [], []
     X0 = None
     for t in ts:
         op = GridOperator(matrix=_operator_matrix(gs, float(t) * A1),
                           grid=gs, potential=None)
-        sig, X0, its, eta = _sigma_min_block(op, rng_seed=rng_seed, X0=X0,
-                                             **kw)
+        sig, X0, its, eta = _sigma_min_block(op, rng_seed, tol, X0)
         sigmas.append(sig)
         iterations.append(its)
         residuals.append(eta)
@@ -563,7 +553,8 @@ def zeromode_residual_on_grid(spec: PotentialSpec, mode: SpinorField,
     Dirichlet wall; the residual then measures pure discretization error
     and should shrink at the stencil's order as h -> 0.
     """
-    M, pts = _assemble(gs, spec, MAX_DIM)
+    A, pts = _on_sites(gs, spec)
+    M = _operator_matrix(gs, A)
     comps = eval_spinor(mode, [pts[0], pts[1], pts[2]])
     psi = np.empty(gs.dim, dtype=complex)
     psi[0::2] = np.asarray(comps[0], dtype=complex)

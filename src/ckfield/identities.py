@@ -33,7 +33,6 @@ class IdentityReport:
     identity_id: str
     point: np.ndarray
     residual: float
-    tolerance: float
     passed: bool
 
 
@@ -260,9 +259,8 @@ def identity_doc(identity_id: str) -> str:
         raise UnknownIdentity(identity_id) from None
 
 
-def check_identity(identity_id: str, p: CkfParams, x,
-                   tol: float = DEFAULT_TOL) -> IdentityReport:
-    """Evaluate one registered identity at a single point."""
+def check_identity(identity_id: str, p: CkfParams, x) -> IdentityReport:
+    """Evaluate one registered identity at x against DEFAULT_TOL."""
     try:
         entry = REGISTRY[identity_id]
     except KeyError:
@@ -275,7 +273,7 @@ def check_identity(identity_id: str, p: CkfParams, x,
             f"w = {float(np.min(ctx.w)):.3e}")
     res = float(np.max(entry.fn(ctx)))
     return IdentityReport(identity_id=identity_id, point=x, residual=res,
-                          tolerance=tol, passed=bool(res <= tol))
+                          passed=bool(res <= DEFAULT_TOL))
 
 
 def sample_points(p: CkfParams, n_points: int, rng) -> np.ndarray:
@@ -318,5 +316,5 @@ def run_identity_suite(p: CkfParams, n_points: int = 100,
             r = float(res[k])
             reports.append(IdentityReport(
                 identity_id=key, point=pts[:, k].copy(), residual=r,
-                tolerance=DEFAULT_TOL, passed=bool(r <= DEFAULT_TOL)))
+                passed=bool(r <= DEFAULT_TOL)))
     return reports

@@ -357,8 +357,7 @@ def eta_eps(c: CutoffPair, x):
     return _loglog_step(1.0 / w, 1.0 / c.eps)
 
 
-def cutoff_bound_check(c: CutoffPair, n_radial: int = 400,
-                       n_dirs: int = 256):
+def cutoff_bound_check(c: CutoffPair):
     """(sup of w^{1/2} |grad chi_R| over the transition shell, its bound).
 
     The bound is 2 C ||chi0'||_inf / log R with C the shell maximum of
@@ -366,9 +365,10 @@ def cutoff_bound_check(c: CutoffPair, n_radial: int = 400,
     on r >= R > e, so the shell-local constant is sound.
     """
     lo = np.log(np.log(c.R))
-    s = np.linspace(1.0e-4, 1.0 - 1.0e-4, n_radial)
+    s = np.linspace(1.0e-4, 1.0 - 1.0e-4, 400)
     r = np.exp(np.exp(s + lo))
 
+    n_dirs = 256
     k = np.arange(n_dirs)
     phi = np.arccos(1.0 - 2.0 * (k + 0.5) / n_dirs)
     theta = np.pi * (1.0 + 5 ** 0.5) * k

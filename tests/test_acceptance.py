@@ -77,14 +77,14 @@ def test_criterion_01_identity_suite():
     worst_general = 0.0
     p_gen = _generic_batch(rng, n)
     for key in GENERAL_IDS:
-        rep = check_identity(key, p_gen, pts, tol=1.0e-10)
+        rep = check_identity(key, p_gen, pts)
         worst_general = max(worst_general, rep.residual)
 
     worst_simple = 0.0
     p_sim = _simple_batch(rng, n)
     pts2 = rng.uniform(-2, 2, (3, n))
     for key in SIMPLE_ONLY_IDS:
-        rep = check_identity(key, p_sim, pts2, tol=1.0e-10)
+        rep = check_identity(key, p_sim, pts2)
         worst_simple = max(worst_simple, rep.residual)
 
     dt = time.perf_counter() - t0

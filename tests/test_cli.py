@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ckfield import cli, potentials
 from ckfield.cli import main
+from ckfield.spinops import apply_D
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -248,6 +250,35 @@ def test_control_losyau_cmd(tmp_path):
     assert len(rows) == 2
     man = _read_json(tmp_path / "control-losyau" / "manifest.json")
     assert man["tol"] == 1.0e-7     # the library's default
+
+
+def test_control_losyau_checks_points_the_construction_did_not(
+        tmp_path, monkeypatch):
+    # construct_losyau certifies the pair on the points default_rng(seed)
+    # draws; the CLI's continuum check must look elsewhere
+    seen = []
+
+    def spy(spec, mode, pts):
+        seen.append(pts)
+        return apply_D(spec, mode, pts)
+
+    monkeypatch.setattr(cli, "apply_D", spy)
+    assert run("control-losyau", "--grid", "8,2.5", "--ns", "8,12",
+               "--points", "300", "--seed", "3", outdir=tmp_path) == 0
+    (pts,) = seen
+    certified = np.random.default_rng(3).normal(scale=1.5, size=(3, 300))
+    assert pts.shape == certified.shape
+    assert not np.isin(pts, certified).any()
+
+
+def test_failed_construction_is_a_failed_check(tmp_path, capsys,
+                                               monkeypatch):
+    # a certificate the library checks itself is a check, not a usage error
+    # (tests/test_holonomy.py does the same for SectorMismatch)
+    monkeypatch.setattr(potentials, "LOSYAU_TOL", -1.0)
+    assert run("control-losyau", "--grid", "8,2.5", "--ns", "8,12",
+               "--points", "50", outdir=tmp_path) == 1
+    assert "ConstructionFailed" in capsys.readouterr().err
 
 
 def test_field_eval_cmd(tmp_path):

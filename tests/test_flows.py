@@ -126,6 +126,15 @@ def test_cr_orbit_stops_at_first_return(monkeypatch):
                                            rel=1.0e-3)
 
 
+def test_fast_seed_closes_in_the_exact_period_window():
+    # |Y(x0)| = 4998 at rho = 0.9992, so a t_max of 2000 * 4 pi / |Y(x0)|
+    # = 5.03 ends before the first return at 2 pi; the window [T/2, 2T]
+    # from the canonical form holds it
+    tr = integrate_curve(field_cr(1.0), cr_orbit_seed(1.0, 0.9992))
+    assert tr.closed
+    assert tr.period == pytest.approx(2.0 * np.pi, rel=0.0, abs=1.0e-12)
+
+
 def test_near_degenerate_orbit_needs_few_nodes():
     mu, rho, theta = 1.0, 0.95, 0.4
     p = field_cr(mu)

@@ -10,11 +10,12 @@ import pytest
 import scipy.sparse as sp
 
 from ckfield.errors import FreeZeroMode, GridTooLarge, NoConvergence
-from ckfield.grid import (GridOperator, GridSpec, _d1_matrix, _free_inverse,
-                          _rotation_sectors, _sigma_min_block, _stencil,
-                          assemble, axis_points, free_sigma_min, grid_points,
-                          scaling_sweep, sigma_min,
-                          zeromode_residual_on_grid)
+from ckfield.grid import (SOLVE_TOL, GridOperator, GridSpec, _MAXITER,
+                          _d1_matrix, _free_inverse, _rotation_sectors,
+                          _sigma_min_block, _sigma_min_dense,
+                          _sigma_min_lobpcg, _stencil, assemble, axis_points,
+                          free_sigma_min, grid_points, scaling_sweep,
+                          sigma_min, zeromode_residual_on_grid)
 from ckfield.potentials import (axial, eval_potential, gauge_pair, gauged,
                                 gaussian, hopfbase, lossyau, modulated,
                                 scaled, smoothbump)
@@ -121,7 +122,7 @@ def test_scaling_sweep_matches_solves_of_assembled_operators(coupling):
     X0, sigmas, iterations, residuals = None, [], [], []
     for t in ts:
         sig, X0, its, eta = _sigma_min_block(
-            assemble(gs, scaled(SWEEP_MODULATED, t)), X0=X0)
+            assemble(gs, scaled(SWEEP_MODULATED, t)), 0, SOLVE_TOL, X0)
         sigmas.append(sig)
         iterations.append(its)
         residuals.append(eta)
@@ -145,8 +146,8 @@ def test_odd_grid_has_no_free_floor():
     with pytest.raises(FreeZeroMode) as exc:
         free_sigma_min(gs)
     assert exc.value.n == 9
-    with pytest.raises(FreeZeroMode):
-        sigma_min(assemble(gs, AXIAL), method="lobpcg")
+    with pytest.raises(FreeZeroMode):     # dim 1458: the LOBPCG path
+        sigma_min(assemble(gs, AXIAL))
     # the grid itself stays valid for residual checks
     r = zeromode_residual_on_grid(lossyau(), losyau_mode(),
                                   GridSpec(L=2.5, n=9), interior_margin=1.0)
@@ -185,25 +186,16 @@ def test_planted_null_vector_has_zero_residual():
 def test_lobpcg_agrees_with_dense():
     gs = GridSpec(L=2.0, n=8)
     op = assemble(gs, AXIAL)
-    ref = sigma_min(op, method="dense")
-    it = sigma_min(op, method="lobpcg")
+    ref = sigma_min(op)
+    it = _sigma_min_lobpcg(op, 0, SOLVE_TOL, _MAXITER, None)[0]
     assert it == pytest.approx(ref, rel=1.0e-4)
 
 
 def test_lobpcg_uncertified_raises():
     gs = GridSpec(L=6.0, n=12)
     op = assemble(gs)
-    with pytest.raises(NoConvergence):
-        sigma_min(op, method="lobpcg", maxiter=1, tol=1.0e-30)
-
-
-def test_solver_method_is_checked():
-    gs = GridSpec(L=2.0, n=8)
-    msg = "'auto', 'dense' or 'lobpcg', not 'desne'"
-    with pytest.raises(ValueError, match=msg):
-        sigma_min(assemble(gs, AXIAL), method="desne")
-    with pytest.raises(ValueError, match=msg):
-        scaling_sweep(AXIAL, [0.0, 1.0], gs, method="desne")
+    with pytest.raises(NoConvergence, match="after 1 iterations"):
+        _sigma_min_lobpcg(op, 0, 1.0e-30, 1, None)
 
 
 class _MatmulOnly:
@@ -228,9 +220,9 @@ def test_lobpcg_needs_only_matmul():
     op = assemble(SWEEP_GS, scaled(SWEEP_SPEC, 10.0))
     wrapped = _MatmulOnly(op.matrix)
     got = sigma_min(GridOperator(matrix=wrapped, grid=op.grid,
-                                 potential=op.potential), method="lobpcg")
+                                 potential=op.potential))
     assert wrapped.products > 0
-    assert got == pytest.approx(sigma_min(op, method="dense"), rel=1.0e-9)
+    assert got == pytest.approx(_sigma_min_dense(op), rel=1.0e-9)
 
 
 @pytest.mark.parametrize("coupling", ["site", "link"])
@@ -250,8 +242,8 @@ def test_rotation_sectors_split_the_spectrum_exactly(spec, order, coupling):
     got = np.sort(np.concatenate([np.linalg.eigvalsh(B) for B in blocks]))
     np.testing.assert_allclose(got, ref, rtol=0.0,
                                atol=1.0e-12 * np.abs(ref).max())
-    assert sigma_min(op, method="dense") == pytest.approx(
-        np.abs(ref).min(), rel=1.0e-12)
+    assert _sigma_min_dense(op) == pytest.approx(np.abs(ref).min(),
+                                                 rel=1.0e-12)
 
 
 @pytest.mark.parametrize("gs,spec", [
@@ -264,7 +256,7 @@ def test_dense_path_without_rotation_symmetry_is_the_full_solve(gs, spec):
     D = op.matrix.toarray()
     assert len(_rotation_sectors(D, gs.n)) == 1
     ref = float(np.abs(np.linalg.eigvalsh(D)).min())
-    assert sigma_min(op, method="dense") == ref
+    assert _sigma_min_dense(op) == ref
 
 
 def test_dense_path_needs_only_toarray():
@@ -272,17 +264,17 @@ def test_dense_path_needs_only_toarray():
     op = assemble(GridSpec(L=6.0, n=8), lossyau())
     wrapped = _MatmulOnly(op.matrix)
     got = sigma_min(GridOperator(matrix=wrapped, grid=op.grid,
-                                 potential=op.potential), method="dense")
+                                 potential=op.potential))
     assert wrapped.products == 0
-    assert got == sigma_min(op, method="dense")
+    assert got == _sigma_min_dense(op)
 
 
 def test_lobpcg_unreachable_tol_keeps_best_iterate():
     # residuals stall near rounding level long before tol = 1e-15; the
     # iterates after that drift, so the solver returns its best one
     op = assemble(GridSpec(L=6.0, n=10), lossyau())
-    ref = sigma_min(op, method="dense")
-    got = sigma_min(op, method="lobpcg", tol=1.0e-15, maxiter=300)
+    ref = _sigma_min_dense(op)
+    got = _sigma_min_lobpcg(op, 0, 1.0e-15, 300, None)[0]
     assert got == pytest.approx(ref, rel=1.0e-9)
 
 
@@ -345,8 +337,11 @@ def test_losyau_mode_is_not_a_zero_mode_of_axial_potential():
 
 
 def test_grid_size_guard():
+    gs = GridSpec(L=2.0, n=67)      # dim 601,526 > MAX_DIM
     with pytest.raises(GridTooLarge):
-        assemble(GridSpec(L=2.0, n=8), max_dim=100)
+        assemble(gs)
+    with pytest.raises(GridTooLarge):
+        scaling_sweep(AXIAL, [0.0], gs)
 
 
 def test_scaling_sweep_dense_path():
@@ -371,7 +366,7 @@ def test_scaling_sweep_reports_solver_work(warm_sweep):
     res = warm_sweep
     assert res.iterations.shape == res.residuals.shape == SWEEP_TS.shape
     assert (res.iterations > 0).all()
-    # every t is certified: eta within the bound of _sigma_min_block
+    # every t is certified: eta within the bound of _sigma_min_lobpcg
     assert (res.residuals <= 0.05 * res.sigma_mins ** 2).all()
     # each solve stops once the lowest pair has converged; waiting for all
     # six block vectors took 306 iterations over this sweep

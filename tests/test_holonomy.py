@@ -132,6 +132,7 @@ def test_sector_mismatch_is_typed_and_carries_margin(monkeypatch, tmp_path):
         admissible_spectrum(p, spec, trace)
     assert exc.value.tol == -1.0
     assert 0.0 <= exc.value.mismatch < 1.0e-10
-    # a CkfieldError: the CLI exits 2 instead of printing a traceback
+    # a failed certificate: the CLI exits 1, a failed check, with no
+    # traceback
     assert main(["holonomy", "--ckf", "ro", "--potential", "axial",
-                 "--orbit-seed", "0.9,0,0.2", "--outdir", str(tmp_path)]) == 2
+                 "--orbit-seed", "0.9,0,0.2", "--outdir", str(tmp_path)]) == 1

@@ -529,8 +529,7 @@ def test_eta_eps_levels():
 def test_cutoff_bound_and_halving():
     sups = []
     for R in (math.e ** 2, math.e ** 4, math.e ** 8):
-        sup, bound = cutoff_bound_check(CutoffPair(field_cr(1.0), R, 0.05),
-                                        n_radial=200, n_dirs=128)
+        sup, bound = cutoff_bound_check(CutoffPair(field_cr(1.0), R, 0.05))
         assert sup <= bound
         sups.append(sup)
     assert sups[0] / sups[1] == pytest.approx(2.0, rel=0.25)
