@@ -34,7 +34,7 @@ from .potentials import (PotentialSpec, Profile, axial, construct_losyau,
                          eval_field, eval_potential, fw3_along_curve,
                          gauged, hopfbase, lossyau, modulated,
                          parallelism_residual, parent_field, scaled,
-                         spec_from_dict, spec_to_dict)
+                         spec_from_dict)
 from .quadrature import QuadBox, box_axes, gl2_axis, periodic_trapezoid
 from .spinops import (CutoffPair, apply_D, apply_Q, apply_S, chi0,
                       chi0_prime, chi0_prime_max, chi_R,

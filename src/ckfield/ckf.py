@@ -103,12 +103,6 @@ class CkfParams:
         """max(|a|, |b0|, |b|, |c|), the natural size of the parameters."""
         return _scale(self, _norm(self.a), _norm(self.b), _norm(self.c))
 
-    def to_dict(self) -> dict:
-        if self.batched:
-            raise ValueError("cannot serialize batched parameters")
-        return {"a": list(self.a), "b0": float(self.b0),
-                "b": list(self.b), "c": list(self.c)}
-
     @staticmethod
     def from_dict(d: dict) -> "CkfParams":
         return CkfParams(a=np.asarray(d.get("a", (0, 0, 0)), float),

@@ -1,10 +1,19 @@
 """Command-line entry point.
 
-Every run resolves its configuration (flags override --config file values,
-which override defaults), writes the outputs plus a manifest.json echoing
-the resolved configuration into the output directory, and exits 0 when all
+Each subcommand's options and their defaults are declared once, in
+_SUBCOMMANDS.  Every run resolves its configuration (flags override
+--config file values, which override those defaults), writes its outputs
+plus a manifest.json into the output directory, and exits 0 when all
 checks pass, 1 when a check fails, 2 on usage or configuration errors.
-Output locations default to $CKFIELD_OUTDIR or ./ckfield-runs.
+The manifest holds every option's resolved value, the version and the
+derived numbers a run reports (spectrum-sweep: sigma_free, sigma_floor,
+grid_h, dim).  Output locations default to $CKFIELD_OUTDIR or
+./ckfield-runs.
+
+--at, --seed-point and --orbit-seed take exactly 3 numbers, and --ns at
+least two strictly increasing grid sizes; anything else exits 2.  A
+field-lines summary writes a non-finite speed_ratio (the special field's
+axis curve) as null, so every output is strict JSON.
 """
 
 from __future__ import annotations
@@ -24,8 +33,8 @@ from .ckf import (CkfParams, classify, field_cr, field_iso, field_ro,
                   field_ud, frame_quantities, reconstruct)
 from .errors import (BlowUp, CkfieldError, ConstructionFailed, NoConvergence,
                      SectorMismatch)
-from .flows import (fixed_point_census, integrate_curve, loop_integrals,
-                    planarity_and_curvature)
+from .flows import (RK_TOL, fixed_point_census, integrate_curve,
+                    loop_integrals, planarity_and_curvature)
 from .grid import (SOLVE_TOL, GridSpec, assemble, free_sigma_min,
                    scaling_sweep, sigma_min, zeromode_residual_on_grid)
 from .holonomy import admissible_spectrum, transport
@@ -38,8 +47,11 @@ from .spinors import (SpinorField, bump_packet, from_dict as spinor_from_dict,
                       gaussian_packet, losyau_mode, losyau_psi, spinor_abs)
 from .quadrature import QuadBox
 
+# "floor" is the spectral floor as a fraction of the free sigma_min;
+# "continuum" bounds the zero-mode control's continuum residual
 PASS_TOL = {"loop": 1.0e-7, "commutator": 1.0e-9, "norm_rel": 1.0e-3,
-            "quantization": 1.0e-6, "monodromy": 1.0e-6}
+            "quantization": 1.0e-6, "monodromy": 1.0e-6, "floor": 0.5,
+            "continuum": 1.0e-10}
 
 
 # -- argument plumbing -------------------------------------------------------
@@ -113,8 +125,8 @@ def _parse_spinor(s: str) -> SpinorField:
         raise ValueError(f"cannot parse --spinor {s!r}: {exc}") from exc
 
 
-def _parse_point(s: str) -> np.ndarray:
-    return np.array([float(v) for v in s.split(",")], dtype=float)
+def _parse_point(s: str, flag: str) -> np.ndarray:
+    return np.array(_numbers(s, 3, flag), dtype=float)
 
 
 def _parse_ts(s: str) -> np.ndarray:
@@ -132,14 +144,12 @@ def _parse_ts(s: str) -> np.ndarray:
 
 def _grid_spec(cfg: dict, **kw) -> GridSpec:
     """GridSpec from --grid n,L and --stencil."""
-    n, L = str(cfg.get("grid", "24,6")).split(",")
-    return GridSpec(L=float(L), n=int(n), order=int(cfg.get("stencil", 4)),
-                    **kw)
+    n, L = str(cfg["grid"]).split(",")
+    return GridSpec(L=float(L), n=int(n), order=int(cfg["stencil"]), **kw)
 
 
 def _outdir(cfg: dict, sub: str) -> Path:
-    base = cfg.get("outdir") or os.environ.get("CKFIELD_OUTDIR") or "ckfield-runs"
-    d = Path(base) / sub
+    d = Path(cfg["outdir"]) / sub
     d.mkdir(parents=True, exist_ok=True)
     return d
 
@@ -201,10 +211,9 @@ def _cmd_classify(cfg) -> int:
 
 def _cmd_verify_identities(cfg) -> int:
     p = _parse_ckf(cfg["ckf"])
-    n = int(cfg.get("points", 200))
-    seed = int(cfg.get("seed", 0))
     d = _outdir(cfg, "verify-identities")
-    reports = run_identity_suite(p, n_points=n, seed=seed)
+    reports = run_identity_suite(p, n_points=int(cfg["points"]),
+                                 seed=int(cfg["seed"]))
     rows = [(r.identity_id, *(f"{v:.6g}" for v in r.point),
              f"{r.residual:.3e}", f"{DEFAULT_TOL:.1e}", r.passed)
             for r in reports]
@@ -222,16 +231,12 @@ def _cmd_verify_identities(cfg) -> int:
 
 def _cmd_field_lines(cfg) -> int:
     p = _parse_ckf(cfg["ckf"])
-    x0 = _parse_point(cfg["seed_point"])
+    x0 = _parse_point(cfg["seed_point"], "--seed-point")
+    t_max = None if cfg["t_max"] is None else float(cfg["t_max"])
     d = _outdir(cfg, "field-lines")
-    kw = {}
-    if cfg.get("t_max") is not None:
-        kw["t_max"] = float(cfg["t_max"])
-    if cfg.get("rk_tol") is not None:
-        kw["rk_tol"] = float(cfg["rk_tol"])
     summary = {"seed_point": x0.tolist()}
     try:
-        tr = integrate_curve(p, x0, **kw)
+        tr = integrate_curve(p, x0, t_max=t_max, rk_tol=float(cfg["rk_tol"]))
     except BlowUp as exc:
         summary.update({"blowup": True, "detail": str(exc)})
         tr = None
@@ -241,14 +246,16 @@ def _cmd_field_lines(cfg) -> int:
             "closure_error": tr.closure_error,
             "plane_normal": _jsonable(tr.plane_normal),
             "samples": int(tr.ts.size), "nfev": tr.nfev, "steps": tr.steps,
-            "speed_ratio": tr.speed_ratio})
+            # inf on a special field's axis curve, which JSON cannot hold
+            "speed_ratio": (tr.speed_ratio if math.isfinite(tr.speed_ratio)
+                            else None)})
         if tr.closed:
             dev, kres = planarity_and_curvature(tr, p)
             summary["max_plane_deviation"] = dev
             summary["max_curvature_residual"] = kres
     with open(d / "curve.jsonl", "w") as fh:
         if tr is not None:
-            step = max(1, tr.ts.size // int(cfg.get("max_rows", 4096)))
+            step = max(1, tr.ts.size // int(cfg["max_rows"]))
             for t, x in list(tr.samples)[::step]:
                 fh.write(json.dumps({"t": float(t), "x": x.tolist()}) + "\n")
     with open(d / "summary.json", "w") as fh:
@@ -260,8 +267,8 @@ def _cmd_field_lines(cfg) -> int:
 
 def _cmd_loop_integrals(cfg) -> int:
     p = _parse_ckf(cfg["ckf"])
-    spec = _parse_potential(cfg.get("potential"))
-    x0 = _parse_point(cfg["seed_point"])
+    spec = _parse_potential(cfg["potential"])
+    x0 = _parse_point(cfg["seed_point"], "--seed-point")
     d = _outdir(cfg, "loop-integrals")
     tr = integrate_curve(p, x0)
     li = loop_integrals(tr, p, spec)
@@ -287,12 +294,11 @@ def _cmd_loop_integrals(cfg) -> int:
 
 def _cmd_verify_operators(cfg) -> int:
     p = _parse_ckf(cfg["ckf"])
-    spec = _parse_potential(cfg.get("potential"))
-    f = _parse_spinor(cfg.get("spinor", "gaussian:1.5,0,0,0.6"))
-    n = int(cfg.get("points", 200))
-    seed = int(cfg.get("seed", 0))
+    spec = _parse_potential(cfg["potential"])
+    f = _parse_spinor(cfg["spinor"])
+    n = int(cfg["points"])
     d = _outdir(cfg, "verify-operators")
-    pts = sample_points(p, n, np.random.default_rng(seed))
+    pts = sample_points(p, n, np.random.default_rng(int(cfg["seed"])))
     tol = PASS_TOL["commutator"]
     rows = []
     worst = 0.0
@@ -307,16 +313,11 @@ def _cmd_verify_operators(cfg) -> int:
     report = {"points": n, "worst_commutator_residual": worst,
               "commutators_pass": bool(worst <= tol)}
     ok = worst <= tol
-    if cfg.get("quadrature"):
-        nq = int(cfg["quadrature"])
-        box = cfg.get("box")
-        if box:
-            lohi = _numbers(box, 6, "--box")
-            ranges = tuple((lohi[2 * i], lohi[2 * i + 1]) for i in range(3))
-        else:
-            ranges = ((-2.2, 2.2), (-2.2, 2.2), (-1.7, 1.7))
+    if cfg["quadrature"]:
+        lohi = _numbers(cfg["box"], 6, "--box")
+        ranges = tuple((lohi[2 * i], lohi[2 * i + 1]) for i in range(3))
         lhs, terms, rel = norm_decomposition_check(
-            p, spec, f, QuadBox(ranges=ranges, n=nq))
+            p, spec, f, QuadBox(ranges=ranges, n=int(cfg["quadrature"])))
         report.update({"norm_lhs": lhs, "norm_terms": list(terms),
                        "norm_rel_err": rel,
                        "norm_pass": bool(rel <= PASS_TOL["norm_rel"])})
@@ -330,8 +331,8 @@ def _cmd_verify_operators(cfg) -> int:
 
 def _cmd_holonomy(cfg) -> int:
     p = _parse_ckf(cfg["ckf"])
-    spec = _parse_potential(cfg.get("potential"))
-    x0 = _parse_point(cfg["orbit_seed"])
+    spec = _parse_potential(cfg["potential"])
+    x0 = _parse_point(cfg["orbit_seed"], "--orbit-seed")
     d = _outdir(cfg, "holonomy")
     tr = integrate_curve(p, x0)
     hr = admissible_spectrum(p, spec, tr)
@@ -344,7 +345,7 @@ def _cmd_holonomy(cfg) -> int:
            "sector_vs_scalar": hr.sector_vs_scalar,
            "monodromy_defect_at_zero": abs(hr.monodromy_at_zero + 1.0)}
     lam_rows = []
-    if cfg.get("lambdas"):
+    if cfg["lambdas"]:
         for lam in (float(v) for v in str(cfg["lambdas"]).split(",")):
             m = transport(p, spec, tr, lam)
             lam_rows.append((lam, m.real, m.imag, abs(m - 1.0)))
@@ -360,26 +361,23 @@ def _cmd_holonomy(cfg) -> int:
 
 
 def _cmd_spectrum_sweep(cfg) -> int:
-    spec = _parse_potential(cfg.get("potential"))
+    spec = _parse_potential(cfg["potential"])
     if spec is None:
         raise ValueError("spectrum-sweep needs --potential")
-    gs = _grid_spec(cfg, coupling=str(cfg.get("coupling", "site")))
-    ts = _parse_ts(str(cfg.get("ts", "0:20:1")))
-    tol = float(cfg.get("tol", SOLVE_TOL))
-    seed = int(cfg.get("seed", 0))
+    gs = _grid_spec(cfg, coupling=str(cfg["coupling"]))
+    ts = _parse_ts(str(cfg["ts"]))
     d = _outdir(cfg, "spectrum-sweep")
     free = free_sigma_min(gs)
-    floor = 0.5 * free
-    sw = scaling_sweep(spec, ts, gs, rng_seed=seed, tol=tol)
+    floor = PASS_TOL["floor"] * free
+    sw = scaling_sweep(spec, ts, gs, rng_seed=int(cfg["seed"]),
+                       tol=float(cfg["tol"]))
     rows = [(f"{t:.6g}", f"{s:.8e}", s > floor, int(its), f"{eta:.3e}")
             for t, s, its, eta in zip(sw.ts, sw.sigma_mins, sw.iterations,
                                       sw.residuals)]
     _write_csv(d / "sweep.csv",
                ("t", "sigma_min", "above_floor", "iterations", "eta"), rows)
-    cfg2 = dict(cfg)
-    cfg2.update({"tol": tol, "sigma_free": free, "sigma_floor": floor,
-                 "grid_h": gs.h, "dim": gs.dim})
-    _write_manifest(d, cfg2)
+    _write_manifest(d, {**cfg, "sigma_free": free, "sigma_floor": floor,
+                        "grid_h": gs.h, "dim": gs.dim})
     lo = float(sw.sigma_mins.min())
     print(f"free sigma = {free:.6f}, floor = {floor:.6f}, "
           f"min_t sigma = {lo:.6f} at t = {sw.ts[int(np.argmin(sw.sigma_mins))]:g}")
@@ -388,8 +386,14 @@ def _cmd_spectrum_sweep(cfg) -> int:
 
 def _cmd_control_losyau(cfg) -> int:
     gs = _grid_spec(cfg)
-    seed = int(cfg.get("seed", 0))
-    npts = int(cfg.get("points", 1000))
+    ns = [int(v) for v in str(cfg["ns"]).split(",")]
+    if len(ns) < 2 or any(a >= b for a, b in zip(ns, ns[1:])):
+        # the refinement check compares consecutive sizes, coarse to fine;
+        # with fewer than two it would pass without comparing anything
+        raise ValueError(f"--ns {cfg['ns']!r} needs at least two strictly "
+                         f"increasing grid sizes")
+    seed = int(cfg["seed"])
+    npts = int(cfg["points"])
     d = _outdir(cfg, "control-losyau")
     spec, mode = construct_losyau(n_points=npts, rng_seed=seed)
 
@@ -400,38 +404,36 @@ def _cmd_control_losyau(cfg) -> int:
     psi = losyau_psi([pts[0], pts[1], pts[2]])
     cont = float((spinor_abs(Dv) / spinor_abs(psi)).max())
 
-    ns = [int(v) for v in str(cfg.get("ns", "16,24")).split(",")]
     rows = []
     for ni in ns:
         gi = GridSpec(L=gs.L, n=ni, order=gs.order)
         r = zeromode_residual_on_grid(spec, mode, gi)
         rows.append((ni, gi.h, r))
-    tol = float(cfg.get("tol", SOLVE_TOL))
-    s_min = sigma_min(assemble(gs, spec), rng_seed=seed, tol=tol)
+    s_min = sigma_min(assemble(gs, spec), rng_seed=seed, tol=float(cfg["tol"]))
     free = free_sigma_min(gs)
     _write_csv(d / "residuals.csv", ("n", "h", "grid_residual"),
                [(a, f"{b:.6g}", f"{c:.6e}") for a, b, c in rows])
     rec = {"continuum_residual": cont, "sigma_min": s_min,
-           "sigma_free": free, "sigma_floor": 0.5 * free,
+           "sigma_free": free, "sigma_floor": PASS_TOL["floor"] * free,
            "grid_residuals": [{"n": a, "h": b, "residual": c}
                               for a, b, c in rows]}
     with open(d / "control.json", "w") as fh:
         json.dump(rec, fh, indent=2)
-    _write_manifest(d, {**cfg, "tol": tol})
+    _write_manifest(d, cfg)
     decreasing = all(rows[i][2] > rows[i + 1][2] for i in range(len(rows) - 1))
-    ok = cont <= 1.0e-10 and decreasing
+    ok = cont <= PASS_TOL["continuum"] and decreasing
     print(json.dumps(rec))
     return 0 if ok else 1
 
 
 def _cmd_field_eval(cfg) -> int:
-    p = _parse_ckf(cfg["ckf"]) if cfg.get("ckf") else None
-    spec = _parse_potential(cfg.get("potential"))
+    p = _parse_ckf(cfg["ckf"]) if cfg["ckf"] else None
+    spec = _parse_potential(cfg["potential"])
     if p is None and spec is not None:
         p = parent_field(spec)
     if p is None:
         raise ValueError("field-eval needs --ckf or --potential")
-    pts = [_parse_point(s) for s in str(cfg["at"]).split(";")]
+    pts = [_parse_point(s, "--at") for s in str(cfg["at"]).split(";")]
     d = _outdir(cfg, "field-eval")
     with open(d / "values.jsonl", "w") as fh:
         for x in pts:
@@ -448,26 +450,39 @@ def _cmd_field_eval(cfg) -> int:
     return 0
 
 
-# subcommand -> (handler, required options, further options); each option
-# is a config key, given on the command line as --key with "_" written "-"
+# the defaults spectrum-sweep and control-losyau share
+_GRID = {"grid": "24,6", "stencil": 4, "tol": SOLVE_TOL}
+
+# subcommand -> (handler, required options, {further option: default});
+# each option is a config key, given on the command line as --key with "_"
+# written "-".  This table is the one place a default is set: a handler
+# reads cfg[key] and the manifest records every option.  A default of None
+# means "not used" (no potential, no quadrature) or, for t_max, the
+# integrator's own exact-period window.
 _SUBCOMMANDS = {
-    "classify": (_cmd_classify, ("ckf",), ()),
-    "verify-identities": (_cmd_verify_identities, ("ckf",), ("points",)),
+    "classify": (_cmd_classify, ("ckf",), {}),
+    "verify-identities": (_cmd_verify_identities, ("ckf",),
+                          {"points": 200}),
     "field-lines": (_cmd_field_lines, ("ckf", "seed_point"),
-                    ("t_max", "rk_tol", "max_rows")),
+                    {"t_max": None, "rk_tol": RK_TOL, "max_rows": 4096}),
     "loop-integrals": (_cmd_loop_integrals, ("ckf", "seed_point"),
-                       ("potential",)),
+                       {"potential": None}),
     "verify-operators": (_cmd_verify_operators, ("ckf",),
-                         ("potential", "spinor", "points", "quadrature",
-                          "box")),
+                         {"potential": None, "spinor": "gaussian:1.5,0,0,0.6",
+                          "points": 200, "quadrature": None,
+                          "box": "-2.2,2.2,-2.2,2.2,-1.7,1.7"}),
     "holonomy": (_cmd_holonomy, ("ckf", "orbit_seed"),
-                 ("potential", "lambdas")),
+                 {"potential": None, "lambdas": None}),
     "spectrum-sweep": (_cmd_spectrum_sweep, ("potential",),
-                       ("grid", "stencil", "coupling", "ts", "tol")),
+                       {**_GRID, "coupling": "site", "ts": "0:20:1"}),
     "control-losyau": (_cmd_control_losyau, (),
-                       ("grid", "stencil", "ns", "points", "tol")),
-    "field-eval": (_cmd_field_eval, ("at",), ("ckf", "potential")),
+                       {**_GRID, "ns": "16,24", "points": 1000}),
+    "field-eval": (_cmd_field_eval, ("at",), {"ckf": None, "potential": None}),
 }
+
+# defaults of the options every subcommand takes besides --outdir, whose
+# fallback is read from the environment in _resolve_config
+_COMMON = {"seed": 0}
 
 
 def _flag(key: str) -> str:
@@ -487,12 +502,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                          "explicit flags override it")
         sp.add_argument("--outdir")
         sp.add_argument("--seed", type=int)
-        for key in required + further:
+        for key in (*required, *further):
             sp.add_argument(_flag(key))
     return ap
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
+    """Flags over --config file values over the _SUBCOMMANDS defaults; the
+    result holds every option of the subcommand (None: unset)."""
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -501,7 +518,12 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if k == "config" or v is None:
             continue
         cfg[k] = v
-    cfg.setdefault("seed", 0)
+    _, _, further = _SUBCOMMANDS[args.subcommand]
+    for k, v in {**_COMMON, **further}.items():
+        if cfg.get(k) is None:
+            cfg[k] = v
+    cfg["outdir"] = (cfg.get("outdir") or os.environ.get("CKFIELD_OUTDIR")
+                     or "ckfield-runs")
     return cfg
 
 

@@ -46,11 +46,12 @@ __all__ = [
     "CurveTrace", "LoopIntegrals", "FixedPoint", "FixedPointCensus",
     "integrate_curve", "loop_integrals", "planarity_and_curvature",
     "fixed_point_census", "cr_orbit_seed", "cr_orbit_closed_form",
-    "ESCAPE_RADIUS", "TOL_CLOSE",
+    "ESCAPE_RADIUS", "TOL_CLOSE", "RK_TOL",
 ]
 
 ESCAPE_RADIUS = 1.0e6
 TOL_CLOSE = 1.0e-10
+RK_TOL = 1.0e-12            # default relative tolerance of the orbit integrator
 MIN_NODES = 64
 TRAPEZOID_EPS = 1.0e-17     # target rho^N of the trapezoid error, below roundoff
 AXIS_TOL = 1.0e-12          # distance from a special field's axis that is on it
@@ -176,7 +177,7 @@ def _trapezoid_nodes(rho: float) -> int:
 
 
 def integrate_curve(p: CkfParams, x0, t_max: Optional[float] = None,
-                    rk_tol: float = 1.0e-12) -> CurveTrace:
+                    rk_tol: float = RK_TOL) -> CurveTrace:
     """Trace the integral curve of X through x0 and detect first return."""
     try:
         cf = classify(p)

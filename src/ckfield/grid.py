@@ -61,7 +61,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh, solve_triangular
 
 from .errors import FreeZeroMode, GridTooLarge, NoConvergence
-from .potentials import PotentialSpec, eval_potential, spec_to_dict
+from .potentials import PotentialSpec, eval_potential
 from .spinors import PAULI, SpinorField, eval_spinor
 
 __all__ = ["GridSpec", "GridOperator", "SweepResult", "grid_points",
@@ -115,7 +115,7 @@ class GridSpec:
 class GridOperator:
     matrix: sp.csr_matrix
     grid: GridSpec
-    potential: Optional[dict]     # serialized spec, for provenance
+    potential: Optional[PotentialSpec]     # the spec assembled, if any
 
     @property
     def dim(self) -> int:
@@ -126,8 +126,6 @@ class GridOperator:
 class SweepResult:
     ts: np.ndarray
     sigma_mins: np.ndarray
-    grid: GridSpec
-    potential: Optional[dict]
     iterations: np.ndarray    # in-library LOBPCG iterations per t; 0 if dense
     residuals: np.ndarray     # certified Ritz residual eta per t; 0 if dense
 
@@ -248,8 +246,7 @@ def assemble(gs: GridSpec,
     """Sparse M approximating sigma.(-i grad - A) with Dirichlet walls;
     raises GridTooLarge above MAX_DIM."""
     A, _ = _on_sites(gs, spec)
-    tag = spec_to_dict(spec) if spec is not None else None
-    return GridOperator(matrix=_operator_matrix(gs, A), grid=gs, potential=tag)
+    return GridOperator(matrix=_operator_matrix(gs, A), grid=gs, potential=spec)
 
 
 def _free_spectrum(gs: GridSpec):
@@ -538,8 +535,7 @@ def scaling_sweep(spec: PotentialSpec, ts, gs: GridSpec,
         sigmas.append(sig)
         iterations.append(its)
         residuals.append(eta)
-    return SweepResult(ts=ts, sigma_mins=np.asarray(sigmas), grid=gs,
-                       potential=spec_to_dict(spec),
+    return SweepResult(ts=ts, sigma_mins=np.asarray(sigmas),
                        iterations=np.asarray(iterations),
                        residuals=np.asarray(residuals))
 

@@ -49,7 +49,7 @@ __all__ = [
     "scaled", "gauged", "parent_field", "potential_components",
     "eval_potential", "eval_field", "field_divergence",
     "parallelism_residual", "construct_losyau", "fw3_along_curve",
-    "spec_to_dict", "spec_from_dict", "GAUGE_NAMES",
+    "spec_from_dict", "GAUGE_NAMES",
 ]
 
 PARALLEL_TOL = 1.0e-8       # largest residual that counts as parallel
@@ -87,16 +87,6 @@ class Profile:
         if self.kind == "constant":
             return self.val + u * 0.0
         raise ValueError(f"unknown profile kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for name in ("lo", "hi", "amplitude", "center", "width", "val"):
-            v = getattr(self, name)
-            if v is not None:
-                d[name] = v
-        if self.coefficients is not None:
-            d["coefficients"] = list(self.coefficients)
-        return d
 
 
 def smoothbump(lo: float, hi: float, amplitude: float = 1.0) -> Profile:
@@ -224,25 +214,6 @@ def parent_field(spec: PotentialSpec) -> CkfParams:
         return field_iso()
     if spec.kind in ("modulated", "scaled", "gauged"):
         return parent_field(spec.base)
-    raise ValueError(f"unknown potential kind {spec.kind!r}")
-
-
-def spec_to_dict(spec: PotentialSpec) -> dict:
-    if spec.kind == "axial":
-        return {"kind": "axial", "profile_u": spec.profile_u.to_dict(),
-                "profile_v": spec.profile_v.to_dict()}
-    if spec.kind == "hopfbase":
-        return {"kind": "hopfbase", "mu": spec.mu}
-    if spec.kind == "modulated":
-        return {"kind": "modulated", "base": spec_to_dict(spec.base),
-                "profile": spec.invariant_profile.to_dict()}
-    if spec.kind == "lossyau":
-        return {"kind": "lossyau"}
-    if spec.kind == "scaled":
-        return {"kind": "scaled", "t": spec.t, "base": spec_to_dict(spec.base)}
-    if spec.kind == "gauged":
-        return {"kind": "gauged", "gauge": spec.gauge,
-                "base": spec_to_dict(spec.base)}
     raise ValueError(f"unknown potential kind {spec.kind!r}")
 
 

@@ -1,5 +1,7 @@
 """Field evaluation, frames, and classification round trips."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -511,7 +513,10 @@ def test_canonical_scale_and_nu_are_floats(rng):
     assert type(classify(field_cr(1.0)).nu) is float
 
 
-def test_to_dict_round_trip():
-    p = field_cr(1.5)
-    q = CkfParams.from_dict(p.to_dict())
-    assert params_bitwise_equal(p, q)
+def test_from_dict_reads_json_params():
+    # the JSON form --ckf accepts; omitted parts are zero
+    q = CkfParams.from_dict(json.loads(
+        '{"a": [0, 0, 1.125], "c": [0, 0, 1]}'))
+    assert params_bitwise_equal(field_cr(1.5), q)
+    q = CkfParams.from_dict(json.loads('{"b": [0, 0, 1]}'))
+    assert params_bitwise_equal(field_ro(), q)

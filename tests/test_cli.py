@@ -52,15 +52,24 @@ def test_version_and_usage_errors(tmp_path):
 
 
 def test_malformed_number_lists_are_usage_errors(tmp_path, capsys):
-    base = ("verify-operators", "--ckf", "ro", "--points", "2")
-    for flag, extra in (
-            ("--box", ("--quadrature", "8", "--box=-1,1,-1,1,-1")),
-            ("--box", ("--quadrature", "8", "--box=-1,1,-1,1,-1,1,2")),
-            ("--spinor gaussian:", ("--spinor", "gaussian:1,0,0")),
-            ("--spinor gaussian:", ("--spinor", "gaussian:1,0,0,0.5,2")),
-            ("--spinor bump:", ("--spinor", "bump:0.3,2.2,-0.9")),
-            ("--spinor bump:", ("--spinor", "bump:"))):
-        assert run(*base, *extra, outdir=tmp_path) == 2
+    ops = ("verify-operators", "--ckf", "ro", "--points", "2")
+    for flag, argv in (
+            ("--box", (*ops, "--quadrature", "8", "--box=-1,1,-1,1,-1")),
+            ("--box", (*ops, "--quadrature", "8", "--box=-1,1,-1,1,-1,1,2")),
+            ("--spinor gaussian:", (*ops, "--spinor", "gaussian:1,0,0")),
+            ("--spinor gaussian:", (*ops, "--spinor", "gaussian:1,0,0,0.5,2")),
+            ("--spinor bump:", (*ops, "--spinor", "bump:0.3,2.2,-0.9")),
+            ("--spinor bump:", (*ops, "--spinor", "bump:")),
+            ("--at", ("field-eval", "--ckf", "ro", "--at", "1,2,3,4")),
+            ("--at", ("field-eval", "--ckf", "ro", "--at", "1,2")),
+            ("--at", ("field-eval", "--ckf", "ro", "--at", "0,0,1;1,2")),
+            ("--seed-point", ("field-lines", "--ckf", "ro",
+                              "--seed-point", "0.9,0")),
+            ("--seed-point", ("loop-integrals", "--ckf", "ro",
+                              "--seed-point", "0.9,0,0.1,0")),
+            ("--orbit-seed", ("holonomy", "--ckf", "ro",
+                              "--orbit-seed", "0.9,0"))):
+        assert run(*argv, outdir=tmp_path) == 2
         assert flag in capsys.readouterr().err
 
 
@@ -93,6 +102,42 @@ def test_config_file_merge_and_flag_override(tmp_path):
                  "--points", "10"]) == 0
     man = _read_json(tmp_path / "verify-identities" / "manifest.json")
     assert man["points"] == "10"   # flag wins over the file value
+
+
+# cheap inputs for every subcommand
+CHEAP = {
+    "classify": ("--ckf", "ro"),
+    "verify-identities": ("--ckf", "ro", "--points", "3"),
+    "field-lines": ("--ckf", "ro", "--seed-point", "0.9,0,0.2"),
+    "loop-integrals": ("--ckf", "ro", "--seed-point", "0.9,0,0.1"),
+    "verify-operators": ("--ckf", "ro", "--points", "2"),
+    "holonomy": ("--ckf", "ro", "--orbit-seed", "0.9,0,0.2"),
+    "spectrum-sweep": ("--potential", "axial", "--grid", "8,3", "--ts", "0"),
+    "control-losyau": ("--grid", "8,2.5", "--ns", "8,12", "--points", "50"),
+    "field-eval": ("--ckf", "ro", "--at", "1,0,0"),
+}
+
+
+def test_manifest_records_every_option(tmp_path):
+    assert CHEAP.keys() == cli._SUBCOMMANDS.keys()
+    for name, argv in CHEAP.items():
+        assert run(name, *argv, outdir=tmp_path) == 0, name
+        man = _read_json(tmp_path / name / "manifest.json")
+        _, required, further = cli._SUBCOMMANDS[name]
+        flags = dict(zip(argv[::2], argv[1::2]))
+        ran = {"outdir": str(tmp_path), "seed": 0, **further}
+        for key in (*required, *ran):
+            assert man[key] == flags.get(cli._flag(key), ran.get(key)), \
+                (name, key)
+    # the defaults as they were before the table held them
+    man = _read_json(tmp_path / "field-lines" / "manifest.json")
+    assert (man["t_max"], man["rk_tol"], man["max_rows"]) == (None, 1e-12,
+                                                              4096)
+    man = _read_json(tmp_path / "spectrum-sweep" / "manifest.json")
+    assert (man["stencil"], man["coupling"], man["tol"]) == (4, "site", 1e-7)
+    man = _read_json(tmp_path / "verify-operators" / "manifest.json")
+    assert man["spinor"] == "gaussian:1.5,0,0,0.6"
+    assert man["potential"] is None and man["quadrature"] is None
 
 
 def test_outdir_from_environment(tmp_path, monkeypatch):
@@ -156,6 +201,22 @@ def test_field_lines_reports_blowup(tmp_path):
                outdir=tmp_path) == 0
     summ = _read_json(tmp_path / "field-lines" / "summary.json")
     assert summ["blowup"] is True
+
+
+def _strict(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_field_lines_summary_is_strict_json(tmp_path, capsys):
+    # the axis curve of a special field, stopped before it escapes, has an
+    # infinite speed ratio: written as null, not as Infinity
+    assert run("field-lines", "--ckf", "cr:1", "--seed-point", "0,0,0.2",
+               "--t-max", "1.0", outdir=tmp_path) == 0
+    text = (tmp_path / "field-lines" / "summary.json").read_text()
+    summ = json.loads(text, parse_constant=_strict)
+    assert summ["closed"] is False
+    assert summ["speed_ratio"] is None
+    assert json.loads(capsys.readouterr().out, parse_constant=_strict) == summ
 
 
 def test_loop_integrals_cmd(tmp_path):
@@ -250,6 +311,16 @@ def test_control_losyau_cmd(tmp_path):
     assert len(rows) == 2
     man = _read_json(tmp_path / "control-losyau" / "manifest.json")
     assert man["tol"] == 1.0e-7     # the library's default
+
+
+@pytest.mark.parametrize("ns", ["16", "12,8", "8,8"])
+def test_control_losyau_needs_a_refinement_ladder(tmp_path, capsys, ns):
+    # the refinement check compares consecutive sizes: fewer than two, or
+    # sizes that do not increase, would make it pass vacuously or wrongly
+    assert run("control-losyau", "--grid", "8,2.5", "--ns", ns,
+               "--points", "50", outdir=tmp_path) == 2
+    assert f"--ns {ns!r}" in capsys.readouterr().err
+    assert not (tmp_path / "control-losyau").exists()   # refused before work
 
 
 def test_control_losyau_checks_points_the_construction_did_not(

@@ -1,6 +1,7 @@
 """Every name a library module imports is used there or re-exported,
 every option a library function offers is set by some library or
-benchmark caller, and the frame threshold is decided in one place."""
+benchmark caller, and the frame threshold and the CLI defaults are each
+decided in one place."""
 
 import ast
 from pathlib import Path
@@ -138,3 +139,17 @@ def test_one_frame_rule():
                    if mod != "identities"
                    and (mod, fn) != ("ckf", "frame_threshold"))
     assert not stray, f"EPS_FRAME read outside frame_threshold: {stray}"
+
+
+def test_one_home_for_cli_defaults():
+    # a CLI default lives in cli._SUBCOMMANDS, which _resolve_config applies:
+    # no cfg.get(key, default) may set a second one
+    tree = ast.parse((Path(ckfield.__file__).parent / "cli.py").read_text())
+    stray = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "get"
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "cfg"
+             and (len(node.args) > 1 or node.keywords)]
+    assert not stray, f"cfg.get with a default in cli.py, lines {stray}"

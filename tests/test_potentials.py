@@ -1,4 +1,6 @@
-"""Potential families: parallelism, exactness of B = curl A, serialization."""
+"""Potential families: parallelism, exactness of B = curl A, JSON specs."""
+
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from ckfield.potentials import (GAUGE_NAMES, Profile, axial, constant,
                                 gaussian, gauged, hopfbase, lossyau, modulated,
                                 parallelism_residual, parent_field, polynomial,
                                 profile_from_dict, scaled, smoothbump,
-                                spec_from_dict, spec_to_dict)
+                                spec_from_dict)
 
 FD_H = 1e-5
 
@@ -217,13 +219,40 @@ def test_profile_smooth_at_support_edge():
         assert np.max(np.abs(z.g)) < 1e-300
 
 
-def test_spec_serialization_round_trip(rng):
+# the JSON form `--potential` accepts for each spec of _specs(), in order
+JSON_SPECS = [
+    '{"kind": "axial", "profile_u": {"kind": "smoothbump", "lo": 0.5, '
+    '"hi": 9.0, "amplitude": 0.25}}',
+    '{"kind": "axial", "profile_u": {"kind": "gaussian", "center": 2.0, '
+    '"width": 1.0}, "profile_v": {"kind": "gaussian", "center": 0.0, '
+    '"width": 2.0}}',
+    '{"kind": "axial", "profile_u": {"kind": "polynomial", '
+    '"coefficients": [0.3, 0, 0.1]}}',
+    '{"kind": "hopfbase", "mu": 0.5}',
+    '{"kind": "hopfbase", "mu": 2}',
+    '{"kind": "modulated", "base": {"kind": "hopfbase", "mu": 1.0}, '
+    '"profile": {"kind": "smoothbump", "lo": 0.05, "hi": 0.5, '
+    '"amplitude": 1.0}}',
+    '{"kind": "modulated", "base": {"kind": "axial", "profile_u": '
+    '{"kind": "constant", "val": 1}}, "profile": {"kind": "smoothbump", '
+    '"lo": 1, "hi": 4, "amplitude": 0.7}}',
+    '{"kind": "lossyau"}',
+    '{"kind": "scaled", "t": 3.5, "base": {"kind": "hopfbase", "mu": 1}}',
+    '{"kind": "gauged", "gauge": "sin_x1_x2", "base": {"kind": "axial", '
+    '"profile_u": {"kind": "smoothbump", "lo": 1, "hi": 4}}}',
+    '{"kind": "gauged", "gauge": "x1x2x3", "base": {"kind": "scaled", '
+    '"t": 2, "base": {"kind": "modulated", "base": {"kind": "hopfbase", '
+    '"mu": 1}, "profile": {"kind": "smoothbump", "lo": 0.1, "hi": 0.6}}}}',
+]
+
+
+def test_spec_from_dict_reads_json_specs(rng):
     pts = rng.uniform(-2, 2, (3, 8))
-    for spec in _specs():
-        d = spec_to_dict(spec)
-        back = spec_from_dict(d)
-        assert np.allclose(eval_potential(back, pts),
-                           eval_potential(spec, pts), atol=1e-14)
+    for text, spec in zip(JSON_SPECS, _specs(), strict=True):
+        back = spec_from_dict(json.loads(text))
+        assert back.kind == spec.kind
+        np.testing.assert_array_equal(eval_potential(back, pts),
+                                      eval_potential(spec, pts))
     with pytest.raises(ValueError):
         spec_from_dict({"kind": "mystery"})
     with pytest.raises((ValueError, KeyError)):
