@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FrameUndefined, NotSimpleRotation, ZeroField
-from .jets import jsqrt, partial, seed, value, vcross, vnorm2
+from .jets import jsqrt, vcross, vnorm2
 
 EPS_FRAME = 1e-10     # absolute threshold below which frames are undefined
 EPS_CLASSIFY = 1e-9   # relative tolerance for classification decisions
@@ -167,11 +167,6 @@ def div_ckf(p: CkfParams, x):
     """div X = 3 b0 + 3 c.x."""
     c = p.c
     return 3.0 * (p.b0 + c[0] * x[0] + c[1] * x[1] + c[2] * x[2])
-
-
-def laplacian_ckf(p: CkfParams) -> np.ndarray:
-    """Componentwise Laplacian of X, constant in x: -c."""
-    return -p.c
 
 
 def eval_ckf(p: CkfParams, x) -> np.ndarray:
@@ -366,19 +361,3 @@ def reconstruct(cf: CanonicalForm) -> CkfParams:
         return CkfParams(a=a, b0=-float(c @ x0), b=-np.array(vcross(c, x0)),
                          c=c)
     raise ValueError(f"unknown kind {cf.kind!r}")
-
-
-def cke_residual(p: CkfParams, x) -> float:
-    """Conformal Killing equation residual max_ij |d_iX_j + d_jX_i
-    - (2/3) divX d_ij| with exact derivatives."""
-    xc = seed(np.asarray(x, float), order=1)
-    X = ckf_components(p, xc)
-    d = value(div_ckf(p, xc))
-    res = 0.0
-    for i in range(3):
-        for j in range(3):
-            r = value(partial(X[j], i)) + value(partial(X[i], j))
-            if i == j:
-                r = r - (2.0 / 3.0) * d
-            res = max(res, float(np.max(np.abs(r))))
-    return res

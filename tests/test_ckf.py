@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ckfield.ckf import (EPS_CLASSIFY, CkfParams, _norm, classify,
-                         cke_residual, eval_ckf, field_cr, field_iso, field_ro,
-                         field_ud, frame_at, frame_quantities, frame_threshold,
-                         is_simple_rotation, jacobian_ckf, laplacian_ckf,
+from ckfield.ckf import (EPS_CLASSIFY, CkfParams, _norm, ckf_components,
+                         classify, div_ckf, eval_ckf, field_cr, field_iso,
+                         field_ro, field_ud, frame_at, frame_quantities,
+                         frame_threshold, is_simple_rotation, jacobian_ckf,
                          reconstruct, simple_rotation_residual)
 from ckfield.errors import FrameUndefined, NotSimpleRotation, ZeroField
 from ckfield.identities import check_identity
-from ckfield.jets import seed, value, vcross
+from ckfield.jets import partial, seed, value, vcross
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite)
@@ -56,8 +56,6 @@ def test_jacobian_matches_jets(rng):
     p = _params(rng.normal(size=3), rng.normal(), rng.normal(size=3),
                 rng.normal(size=3))
     x = rng.uniform(-2, 2, 3)
-    from ckfield.ckf import ckf_components
-    from ckfield.jets import partial
     xc = seed(x, order=1)
     X = ckf_components(p, xc)
     J = jacobian_ckf(p, x)
@@ -97,10 +95,29 @@ def test_frame_quantities_closed_forms(rng):
     assert np.isclose(w, np.linalg.norm([value(c) for c in X]))
     assert np.isclose(d, 3 * (p.b0 + p.c @ x))
     assert np.allclose(Y, 2 * p.b + 2 * np.cross(p.c, x))
-    assert np.allclose(laplacian_ckf(p), -p.c)
+    # componentwise Laplacian of X, from order-2 jets: -c at every point
+    X = ckf_components(p, seed(x))
+    lap = [sum(X[j].h[i, i] for i in range(3)) for j in range(3)]
+    assert np.allclose(lap, -p.c, atol=1e-14)
 
 
 # -- exact differential structure --------------------------------------------
+
+def cke_residual(p: CkfParams, x) -> float:
+    """Conformal Killing equation residual max_ij |d_iX_j + d_jX_i
+    - (2/3) divX d_ij| with exact derivatives."""
+    xc = seed(np.asarray(x, float), order=1)
+    X = ckf_components(p, xc)
+    d = value(div_ckf(p, xc))
+    res = 0.0
+    for i in range(3):
+        for j in range(3):
+            r = value(partial(X[j], i)) + value(partial(X[i], j))
+            if i == j:
+                r = r - (2.0 / 3.0) * d
+            res = max(res, float(np.max(np.abs(r))))
+    return res
+
 
 @given(vec3, finite, vec3, vec3, vec3)
 def test_conformal_killing_equation(a, b0, b, c, x):

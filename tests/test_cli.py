@@ -101,7 +101,7 @@ def test_config_file_merge_and_flag_override(tmp_path):
     assert main(["verify-identities", "--config", str(cfg),
                  "--points", "10"]) == 0
     man = _read_json(tmp_path / "verify-identities" / "manifest.json")
-    assert man["points"] == "10"   # flag wins over the file value
+    assert man["points"] == 10     # flag wins over the file value
 
 
 # cheap inputs for every subcommand
@@ -118,26 +118,176 @@ CHEAP = {
 }
 
 
+def _options(name):
+    """option -> (parser, default) of a subcommand; required ones have
+    the default None."""
+    _, required, further = cli._SUBCOMMANDS[name]
+    return {**{k: (parse, None) for k, parse in required.items()},
+            **cli._COMMON, **further}
+
+
 def test_manifest_records_every_option(tmp_path):
     assert CHEAP.keys() == cli._SUBCOMMANDS.keys()
     for name, argv in CHEAP.items():
         assert run(name, *argv, outdir=tmp_path) == 0, name
-        man = _read_json(tmp_path / name / "manifest.json")
-        _, required, further = cli._SUBCOMMANDS[name]
-        flags = dict(zip(argv[::2], argv[1::2]))
-        ran = {"outdir": str(tmp_path), "seed": 0, **further}
-        for key in (*required, *ran):
-            assert man[key] == flags.get(cli._flag(key), ran.get(key)), \
+        path = tmp_path / name / "manifest.json"
+        man = _read_json(path)
+        flags = {**dict(zip(argv[::2], argv[1::2])),
+                 "--outdir": str(tmp_path)}
+        for key, (parse, default) in _options(name).items():
+            v = flags.get(cli._flag(key), default)
+            assert man[key] == (None if v is None else parse(v, key)), \
                 (name, key)
-    # the defaults as they were before the table held them
+        # a run's manifest given back as its --config rewrites it
+        text = path.read_text()
+        assert main([name, "--config", str(path)]) == 0, name
+        assert path.read_text() == text, name
+    # the defaults as they were before the table held them, typed
     man = _read_json(tmp_path / "field-lines" / "manifest.json")
     assert (man["t_max"], man["rk_tol"], man["max_rows"]) == (None, 1e-12,
                                                               4096)
+    assert man["seed_point"] == [0.9, 0.0, 0.2]
     man = _read_json(tmp_path / "spectrum-sweep" / "manifest.json")
     assert (man["stencil"], man["coupling"], man["tol"]) == (4, "site", 1e-7)
+    assert (man["grid"], man["ts"]) == ([8, 3.0], [0.0])
     man = _read_json(tmp_path / "verify-operators" / "manifest.json")
     assert man["spinor"] == "gaussian:1.5,0,0,0.6"
     assert man["potential"] is None and man["quadrature"] is None
+    assert man["box"] == [-2.2, 2.2, -2.2, 2.2, -1.7, 1.7]
+    assert man["points"] == 2
+    man = _read_json(tmp_path / "control-losyau" / "manifest.json")
+    assert (man["ns"], man["points"], man["seed"]) == ([8, 12], 50, 0)
+
+
+# a value for each option that is unset by default
+SAMPLE = {"t_max": "1.5", "quadrature": "8", "lambdas": "0.5,1.5",
+          "potential": "axial", "ckf": "ro"}
+
+
+def test_one_configuration_one_manifest(tmp_path, monkeypatch):
+    # every way of giving a value writes the same manifest: left at its
+    # default, as a flag string, or in a --config file as that string or
+    # as the JSON value a manifest records.  The handlers are stubbed,
+    # since some defaults (a 24^3 grid) take minutes; CHEAP runs them.
+    monkeypatch.setenv("CKFIELD_OUTDIR", str(tmp_path))
+    conf = tmp_path / "conf.json"
+
+    def manifest(name, argv, config=None):
+        if config is not None:
+            conf.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(conf)]
+        assert main([name, *argv]) == 0, (name, argv, config)
+        return (tmp_path / name / "manifest.json").read_text()
+
+    for name, (_, required, further) in list(cli._SUBCOMMANDS.items()):
+        monkeypatch.setitem(cli._SUBCOMMANDS, name,
+                            (lambda cfg: 0, required, further))
+        cheap = dict(zip(CHEAP[name][::2], CHEAP[name][1::2]))
+        for key, (parse, default) in _options(name).items():
+            flag = cli._flag(key)
+            base = [f"{cli._flag(k)}={cheap[cli._flag(k)]}"
+                    for k in required if k != key]
+            value = default
+            if value is None:
+                value = cheap.get(flag, SAMPLE.get(key, str(tmp_path)))
+            runs = [manifest(name, [*base, f"{flag}={value}"]),
+                    manifest(name, base, {key: value})]
+            typed = json.loads(runs[0])[key]
+            # only the string options record the flag's string
+            assert isinstance(typed, str) == (parse is cli._string), key
+            runs.append(manifest(name, base, {key: typed}))
+            if default is not None:
+                runs.append(manifest(name, base))
+            assert len(set(runs)) == 1, (name, key)
+            if key in required or default is not None:
+                continue
+            unset = [manifest(name, base), manifest(name, base, {key: None})]
+            if parse is cli._string:
+                unset.append(manifest(name, [*base, f"{flag}=none"]))
+            assert len(set(unset)) == 1, (name, key)
+
+
+# one malformed value for every option: a flag string, or a JSON value
+# given in a --config file
+BAD = [
+    ("classify", "--ckf", "cr:x"),
+    ("classify", "--ckf", '{"a": [1, 2]}'),
+    ("verify-identities", "--points", "2.5"),
+    ("verify-identities", "--points", "x"),
+    ("verify-identities", "--seed", "x"),
+    ("verify-identities", "--seed", "-1"),
+    ("field-lines", "--seed-point", "0.9,a,0"),
+    ("field-lines", "--seed-point", [0.9, 0.0]),
+    ("field-lines", "--t-max", "x"),
+    ("field-lines", "--t-max", "inf"),
+    ("field-lines", "--rk-tol", "nan"),
+    ("field-lines", "--max-rows", "0"),
+    ("loop-integrals", "--potential", "axial:1,2"),
+    ("loop-integrals", "--seed-point", "0.9,0"),
+    ("verify-operators", "--spinor", "gaussian:1,0,0,a"),
+    ("verify-operators", "--spinor", 7),
+    ("verify-operators", "--points", "0"),
+    ("verify-operators", "--quadrature", "0"),
+    ("verify-operators", "--box", "-1,1,-1,1,-1,x"),
+    ("holonomy", "--orbit-seed", "0.9,0,inf"),
+    ("holonomy", "--lambdas", "0.5,q"),
+    ("holonomy", "--lambdas", []),
+    ("holonomy", "--potential", "hopfbase:x"),
+    ("spectrum-sweep", "--potential", "modulated:1:0.1"),
+    ("spectrum-sweep", "--grid", "8"),
+    ("spectrum-sweep", "--grid", "8.5,3"),
+    ("spectrum-sweep", "--stencil", "x"),
+    ("spectrum-sweep", "--tol", "inf"),
+    ("spectrum-sweep", "--coupling", 1),
+    ("spectrum-sweep", "--ts", "0,x"),
+    ("control-losyau", "--grid", "8,nan"),
+    ("control-losyau", "--ns", "8,x"),
+    ("control-losyau", "--points", "-3"),
+    ("field-eval", "--at", "1,2"),
+    ("field-eval", "--at", "0,0,1;x,0,0"),
+    ("field-eval", "--ckf", "cr:x"),
+    ("field-eval", "--potential", "axial:1,2"),
+    ("field-eval", "--outdir", 5),
+]
+
+
+@pytest.mark.parametrize("name, flag, value", BAD,
+                         ids=[f"{n}{f}={v}" for n, f, v in BAD])
+def test_malformed_values_exit_2_naming_their_flag(tmp_path, capsys,
+                                                    monkeypatch, name, flag,
+                                                    value):
+    monkeypatch.setenv("CKFIELD_OUTDIR", str(tmp_path / "runs"))
+    argv = list(CHEAP[name])
+    if flag in argv:
+        i = argv.index(flag)
+        del argv[i:i + 2]
+    if isinstance(value, str):
+        argv.append(f"{flag}={value}")
+    else:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+        argv += ["--config", str(conf)]
+    assert main([name, *argv]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not (tmp_path / "runs" / name).exists()    # refused before work
+
+
+def test_norm_check_refuses_a_spinor_the_box_cannot_hold(tmp_path, capsys,
+                                                         monkeypatch):
+    # the default Gaussian packet reaches the default box's boundary; the
+    # norm check says so before the commutator loop and the output
+    # directory
+    def never(*args):
+        raise AssertionError("commutators computed")
+
+    monkeypatch.setattr(cli, "commutator_residuals", never)
+    assert run("verify-operators", "--ckf", "ro", "--potential", "axial",
+               "--points", "3", "--quadrature", "16", outdir=tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "SupportViolation" not in err
+    assert "--spinor" in err and "--box" in err and "bump:" in err
+    assert not (tmp_path / "verify-operators").exists()
 
 
 def test_outdir_from_environment(tmp_path, monkeypatch):
@@ -271,6 +421,7 @@ def test_spectrum_sweep_cmd(tmp_path):
     # dim 1024 takes the dense path: no iterations, no Ritz residual
     assert {(r[3], float(r[4])) for r in rows} == {("0", 0.0)}
     man = _read_json(tmp_path / "spectrum-sweep" / "manifest.json")
+    assert man["ts"] == [0.0, 0.5, 1.0]     # the range, expanded
     assert man["sigma_floor"] == pytest.approx(0.5 * man["sigma_free"])
     assert man["tol"] == 1.0e-7     # the library's default
 

@@ -1,7 +1,7 @@
 """Every name a library module imports is used there or re-exported,
 every option a library function offers is set by some library or
-benchmark caller, and the frame threshold and the CLI defaults are each
-decided in one place."""
+benchmark caller, and the frame threshold and the CLI defaults and
+option types are each decided in one place."""
 
 import ast
 from pathlib import Path
@@ -153,3 +153,17 @@ def test_one_home_for_cli_defaults():
              and node.func.value.id == "cfg"
              and (len(node.args) > 1 or node.keywords)]
     assert not stray, f"cfg.get with a default in cli.py, lines {stray}"
+
+
+def test_cli_handlers_read_typed_options():
+    # each option's parser in cli._SUBCOMMANDS returns its typed value once,
+    # in _resolve_config: no int(cfg[...]) or float(cfg[...]) coerces it again
+    tree = ast.parse((Path(ckfield.__file__).parent / "cli.py").read_text())
+    stray = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id in ("int", "float")
+             and any(isinstance(a, ast.Subscript)
+                     and isinstance(a.value, ast.Name) and a.value.id == "cfg"
+                     for a in node.args)]
+    assert not stray, f"int/float of a cfg value in cli.py, lines {stray}"
