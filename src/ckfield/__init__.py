@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 
 from .ckf import (CanonicalForm, CkfParams, classify, eval_ckf, field_cr,
                   field_iso, field_ro, field_ud, frame_quantities,
-                  is_simple_rotation, jacobian_ckf, reconstruct,
-                  simple_rotation_residual)
+                  is_simple_rotation, reconstruct, simple_rotation_residual)
 from .errors import (BlowUp, CkfieldError, ConstructionFailed,
                      FrameUndefined, FreeZeroMode, GridTooLarge,
                      IntegrationFailed, NoConvergence, NotAdmissible,
@@ -28,17 +27,14 @@ from .grid import (GridOperator, GridSpec, SweepResult, assemble,
                    zeromode_residual_on_grid)
 from .holonomy import (HolonomyResult, admissible_spectrum, frame_spinor,
                        transport)
-from .identities import (IDENTITY_IDS, IdentityReport, check_identity,
-                         identity_doc, run_identity_suite)
+from .identities import IdentityReport, check_identity, run_identity_suite
 from .potentials import (PotentialSpec, Profile, axial, construct_losyau,
-                         eval_field, eval_potential, fw3_along_curve,
-                         gauged, hopfbase, lossyau, modulated,
-                         parallelism_residual, parent_field, scaled,
-                         spec_from_dict)
+                         eval_field, eval_potential, gauged, hopfbase,
+                         lossyau, modulated, parallelism_residual,
+                         parent_field, scaled, spec_from_dict)
 from .quadrature import QuadBox, box_axes, gl2_axis, periodic_trapezoid
-from .spinops import (CutoffPair, apply_D, apply_Q, apply_S, chi0,
-                      chi0_prime, chi0_prime_max, chi_R,
-                      commutator_residuals, cutoff_bound_check, eta_eps,
+from .spinops import (CHI0_PRIME_MAX, CutoffPair, apply_D, apply_Q, apply_S,
+                      chi0_prime, commutator_residuals, cutoff_bound_check,
                       grad_chi_R, norm_decomposition_check)
 from .spinors import SpinorField, bump_packet, gaussian_packet, losyau_mode
 

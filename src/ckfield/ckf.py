@@ -1,4 +1,4 @@
-"""Conformal Killing fields on R^3: evaluation, frames, classification.
+"""Conformal Killing fields on R^3: evaluation, classification.
 
 The ten-parameter family
 
@@ -10,13 +10,11 @@ of flat R^3.  This module evaluates X and its exact derived quantities
 X . Y = 0, and canonicalizes fields into Translation / Dilation /
 Rotation / Special form with exact reconstruction.
 
-Closed forms used throughout (derived by hand, cross-checked against
-forward-mode differentiation in the test suite):
+Closed forms (derived by hand, cross-checked against forward-mode
+differentiation in the test suite):
 
     Y     = 2b + 2 c x x
     div X = 3 b0 + 3 c.x
-    d X_j / d x_i  (J[i, j])
-          = b0 d_ij + eps_jki b_k + c_i x_j + (c.x) d_ij - x_i c_j
     lap X = -c                       (componentwise Laplacian)
 """
 
@@ -28,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FrameUndefined, NotSimpleRotation, ZeroField
+from .errors import NotSimpleRotation, ZeroField
 from .jets import jsqrt, vcross, vnorm2
 
 EPS_FRAME = 1e-10     # absolute threshold below which frames are undefined
@@ -183,76 +181,6 @@ def eval_ckf_curl(p: CkfParams, x) -> np.ndarray:
     comps = curl_components(p, [x[0], x[1], x[2]])
     return np.stack([np.broadcast_to(np.asarray(v, float), x.shape[1:])
                      for v in comps])
-
-
-def jacobian_ckf(p: CkfParams, x) -> np.ndarray:
-    """J[i, j] = dX_j/dx_i at a plain point (closed form)."""
-    x = np.asarray(x, dtype=float)
-    a, b0, b, c = p.a, p.b0, p.b, p.c
-    cx = float(c @ x)
-    J = (b0 + cx) * np.eye(3)
-    # eps_jki b_k contribution: row i, column j
-    J += np.array([[0.0, b[2], -b[1]],
-                   [-b[2], 0.0, b[0]],
-                   [b[1], -b[0], 0.0]])
-    J += np.outer(c, x) - np.outer(x, c)
-    return J
-
-
-# -- frames ----------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class FieldFrame:
-    """Pointwise frame data for a conformal Killing field.
-
-    The unit vectors T, N, B exist only where w > eps and |Y| > eps;
-    accessing them elsewhere raises FrameUndefined.  The scalar data
-    (X, w, divX, Y, XxY) is always populated.
-    """
-
-    x: np.ndarray
-    X: np.ndarray
-    w: float
-    divX: float
-    Y: np.ndarray
-    XxY: np.ndarray
-    _T: Optional[np.ndarray]
-    _N: Optional[np.ndarray]
-    _B: Optional[np.ndarray]
-
-    def _get(self, v, name):
-        if v is None:
-            raise FrameUndefined(
-                f"{name} undefined at x={self.x}: w={self.w:.3e}, "
-                f"|Y|={np.linalg.norm(self.Y):.3e}")
-        return v
-
-    @property
-    def T(self) -> np.ndarray:
-        return self._get(self._T, "T")
-
-    @property
-    def N(self) -> np.ndarray:
-        return self._get(self._N, "N")
-
-    @property
-    def B(self) -> np.ndarray:
-        return self._get(self._B, "B")
-
-
-def frame_at(p: CkfParams, x) -> FieldFrame:
-    """Frame quantities at a single point; T, N, B need w and |Y| above
-    eps = frame_threshold(p), and |X x Y| above eps^2 (X not parallel to Y)."""
-    x = np.asarray(x, dtype=float)
-    X, w, divX, Y = frame_quantities(p, x)
-    X, Y, w = np.stack(X), np.stack(Y), float(w)
-    XxY = np.stack(vcross(X, Y))
-    ny, nxy, eps = _norm(Y), _norm(XxY), frame_threshold(p)
-    T = N = B = None
-    if w > eps and ny > eps and nxy > eps * eps:
-        T, N, B = X / w, XxY / nxy, Y / ny
-    return FieldFrame(x=x, X=X, w=w, divX=float(divX), Y=Y,
-                      XxY=XxY, _T=T, _N=N, _B=B)
 
 
 def frame_quantities(p: CkfParams, xc):

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from .potentials import (axial, construct_losyau, eval_field, eval_potential,
 from .spinops import apply_D, commutator_residuals, norm_decomposition_check
 from .spinors import (SpinorField, bump_packet, from_dict as spinor_from_dict,
                       gaussian_packet, losyau_mode, losyau_psi, spinor_abs)
-from .quadrature import QuadBox
+from .quadrature import QuadBox, _even_nodes
 
 # "floor" is the spectral floor as a fraction of the free sigma_min;
 # "continuum" bounds the zero-mode control's continuum residual
@@ -67,6 +68,8 @@ def _scalar(kind, ok, what: str):
 
 
 _finite = _scalar(float, math.isfinite, "a finite number")
+_positive = _scalar(float, lambda x: math.isfinite(x) and x > 0,
+                    "a positive finite number")
 _count = _scalar(int, lambda n: n > 0, "a positive integer")
 _seed = _scalar(int, lambda n: n >= 0, "an integer >= 0")
 
@@ -169,6 +172,22 @@ def _parse_spinor(s: str) -> SpinorField:
         return spinor_from_dict(json.loads(s))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"cannot parse --spinor {s!r}: {exc}") from exc
+
+
+def _refused(flag: str, make):
+    """make(), with the library's refusal of the value named by its flag."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from exc
+
+
+def _grid(cfg: dict) -> GridSpec:
+    """The GridSpec of --grid and --stencil; each field is added to one the
+    library already accepted, so a refusal names the flag it came from."""
+    n, L = cfg["grid"]
+    gs = _refused("--grid", lambda: GridSpec(L=L, n=n))
+    return _refused("--stencil", lambda: replace(gs, order=cfg["stencil"]))
 
 
 def _outdir(cfg: dict) -> Path:
@@ -307,8 +326,9 @@ def _cmd_verify_operators(cfg) -> int:
         # first, so a spinor the box cannot hold is refused before any
         # other work and before the output directory exists
         lohi = cfg["box"]
-        box = QuadBox(ranges=tuple(zip(lohi[::2], lohi[1::2])),
-                      n=cfg["quadrature"])
+        n = _refused("--quadrature", lambda: _even_nodes(cfg["quadrature"]))
+        box = _refused("--box", lambda: QuadBox(
+            ranges=tuple(zip(lohi[::2], lohi[1::2])), n=n))
         try:
             lhs, terms, rel = norm_decomposition_check(p, spec, f, box)
         except SupportViolation as exc:
@@ -367,8 +387,9 @@ def _cmd_holonomy(cfg) -> int:
 
 def _cmd_spectrum_sweep(cfg) -> int:
     spec = _parse_potential(cfg["potential"])
-    n, L = cfg["grid"]
-    gs = GridSpec(L=L, n=n, order=cfg["stencil"], coupling=cfg["coupling"])
+    grid = _grid(cfg)
+    gs = _refused("--coupling",
+                  lambda: replace(grid, coupling=cfg["coupling"]))
     d = _outdir(cfg)
     free = free_sigma_min(gs)
     floor = PASS_TOL["floor"] * free
@@ -387,9 +408,8 @@ def _cmd_spectrum_sweep(cfg) -> int:
 
 
 def _cmd_control_losyau(cfg) -> int:
-    n, L = cfg["grid"]
-    gs = GridSpec(L=L, n=n, order=cfg["stencil"])
-    ladder = [GridSpec(L=L, n=ni, order=gs.order) for ni in cfg["ns"]]
+    gs = _grid(cfg)
+    ladder = [_refused("--ns", lambda: replace(gs, n=ni)) for ni in cfg["ns"]]
     d = _outdir(cfg)
     spec, mode = construct_losyau(n_points=cfg["points"], rng_seed=cfg["seed"])
 
@@ -441,7 +461,7 @@ def _cmd_field_eval(cfg) -> int:
 
 # the options spectrum-sweep and control-losyau share
 _GRID = {"grid": (_seq((_count, _finite), ","), "24,6"),
-         "stencil": (_count, 4), "tol": (_finite, SOLVE_TOL)}
+         "stencil": (_count, 4), "tol": (_positive, SOLVE_TOL)}
 
 # subcommand -> (handler, {required option: parser},
 #                {further option: (parser, default)}); each option is a
@@ -454,7 +474,8 @@ _SUBCOMMANDS = {
     "verify-identities": (_cmd_verify_identities, {"ckf": _string},
                           {"points": (_count, 200)}),
     "field-lines": (_cmd_field_lines, {"ckf": _string, "seed_point": _three},
-                    {"t_max": (_finite, None), "rk_tol": (_finite, RK_TOL),
+                    {"t_max": (_positive, None),
+                     "rk_tol": (_positive, RK_TOL),
                      "max_rows": (_count, 4096)}),
     "loop-integrals": (_cmd_loop_integrals,
                        {"ckf": _string, "seed_point": _three},

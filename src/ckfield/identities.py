@@ -6,7 +6,8 @@ produced by forward-mode differentiation of X(x) itself (no closed-form
 shortcuts), so each identity is a genuine consistency check of the whole
 evaluation chain.  Residuals are exact up to roundoff.
 
-The registry is keyed by stable string ids.  Identities marked simple_only
+The registry is keyed by stable string ids; each identity's formula is
+the docstring of its residual function.  Identities marked simple_only
 hold only when X . Y = 0 (the simple-rotation condition); the suite skips
 them for generic fields.
 
@@ -97,88 +98,91 @@ def _directional_w(alpha: float) -> Callable[[_Ctx], np.ndarray]:
         lhs = 0.5 * alpha * ctx.w ** (alpha - 2.0) * xgw2
         rhs = (alpha / 3.0) * ctx.divX * ctx.w ** alpha
         return np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
+    res.__doc__ = f"X.grad(w^{alpha:g}) = ({alpha:g}/3)(div X) w^{alpha:g}"
     return res
 
 
 def _grad_xx_gradw2(ctx):
-    # grad_X X = -1/2 grad(w^2) + 2/3 (div X) X
+    """grad_X X = -1/2 grad(w^2) + (2/3)(div X) X"""
     return _vmax(ctx.DXX + 0.5 * ctx.gw2 - (2.0 / 3.0) * ctx.divX * ctx.Xv)
 
 
 def _xy_from_gradxx(ctx):
-    # X x Y = -2 grad_X X + 2/3 (div X) X
+    """X x Y = -2 grad_X X + (2/3)(div X) X"""
     return _vmax(ctx.XxY + 2.0 * ctx.DXX - (2.0 / 3.0) * ctx.divX * ctx.Xv)
 
 
 def _grad_xx_xy(ctx):
-    # grad_X X = 1/3 (div X) X - 1/2 X x Y
+    """grad_X X = (1/3)(div X) X - 1/2 X x Y"""
     return _vmax(ctx.DXX - (1.0 / 3.0) * ctx.divX * ctx.Xv + 0.5 * ctx.XxY)
 
 
 def _grad_w2(ctx):
-    # grad(w^2) = 2/3 (div X) X + X x Y
+    """grad(w^2) = (2/3)(div X) X + X x Y"""
     return _vmax(ctx.gw2 - (2.0 / 3.0) * ctx.divX * ctx.Xv - ctx.XxY)
 
 
 def _xcross_grad_w(ctx):
-    # (X x grad) w = 1/2 w^-1 (X.Y) X - 1/2 w Y
+    """(X x grad) w = 1/2 (X.Y) X / w - 1/2 w Y"""
     lhs = np.stack(vcross(ctx.Xv, ctx.grad_w()))
     rhs = 0.5 * (ctx.XdotY / ctx.w) * ctx.Xv - 0.5 * ctx.w * ctx.Yv
     return _vmax(lhs - rhs)
 
 
 def _triple_cross_xxy(ctx):
-    # X x (X x Y) = (X.Y) X - w^2 Y
+    """X x (X x Y) = (X.Y) X - w^2 Y"""
     lhs = np.stack(vcross(ctx.Xv, ctx.XxY))
     return _vmax(lhs - ctx.XdotY * ctx.Xv + ctx.w2 * ctx.Yv)
 
 
 def _curl_is_killing(ctx):
-    # d_i Y_j + d_j Y_i = 0 (Y is a Killing field; trace gives div Y = 0)
+    """d_i Y_j + d_j Y_i = 0 for Y = curl X"""
+    # Y is a Killing field; the trace gives div Y = 0
     s = ctx.gY + np.swapaxes(ctx.gY, 0, 1)
     return np.max(np.abs(s), axis=(0, 1))
 
 
 def _grad_xy_gradxdoty(ctx):
-    # grad_X Y = 1/3 (div X) Y - grad(X.Y)
+    """grad_X Y = (1/3)(div X) Y - grad(X.Y)"""
     return _vmax(ctx.DXY - (1.0 / 3.0) * ctx.divX * ctx.Yv + ctx.gXdotY)
 
 
 def _grad_xy_laplacian(ctx):
-    # grad_X Y = 2 X x (lap X)
+    """grad_X Y = 2 X x (lap X)"""
     return _vmax(ctx.DXY - 2.0 * np.stack(vcross(ctx.Xv, ctx.lapX)))
 
 
 def _grad_xxy_y(ctx):
-    # grad_{X x Y} Y = 2 (X.lap X) Y - 2 (Y.lap X) X
+    """grad_{XxY} Y = 2(X.lap X) Y - 2(Y.lap X) X"""
     return _vmax(ctx.DZY - 2.0 * ctx.XdotLap * ctx.Yv
                  + 2.0 * ctx.YdotLap * ctx.Xv)
 
 
 def _laplacian_is_grad_div(ctx):
-    # lap X = -1/3 grad(div X)
+    """lap X = -(1/3) grad(div X)"""
     return _vmax(ctx.lapX + (1.0 / 3.0) * ctx.gdiv)
 
 
 def _xdoty_zero(ctx):
+    """X.Y = 0"""
     return np.abs(ctx.XdotY)
 
 
 def _xxy_norm_simple(ctx):
-    # |X x Y| = w |Y|
+    """|X x Y| = w |Y|"""
     nz = np.sqrt(np.einsum("i...,i...->...", ctx.XxY, ctx.XxY))
     ny = np.sqrt(np.einsum("i...,i...->...", ctx.Yv, ctx.Yv))
     return np.abs(nz - ctx.w * ny)
 
 
 def _triple_cross_simple(ctx):
-    # X x (X x Y) = -w^2 Y
+    """X x (X x Y) = -w^2 Y"""
     lhs = np.stack(vcross(ctx.Xv, ctx.XxY))
     return _vmax(lhs + ctx.w2 * ctx.Yv)
 
 
 def _grad_w_norm_simple(ctx):
-    # |grad w|^2 = 1/9 (div X)^2 + 1/4 |Y|^2
+    """|grad w|^2 = (1/9)(div X)^2 + (1/4)|Y|^2"""
     gw = ctx.grad_w()
     lhs = np.einsum("i...,i...->...", gw, gw)
     ny2 = np.einsum("i...,i...->...", ctx.Yv, ctx.Yv)
@@ -186,77 +190,48 @@ def _grad_w_norm_simple(ctx):
 
 
 def _grad_xy_simple(ctx):
-    # grad_X Y = 1/3 (div X) Y
+    """grad_X Y = (1/3)(div X) Y"""
     return _vmax(ctx.DXY - (1.0 / 3.0) * ctx.divX * ctx.Yv)
 
 
 def _grad_xxy_simple(ctx):
-    # grad_{X x Y} Y = 2 (X.lap X) Y
+    """grad_{XxY} Y = 2 (X.lap X) Y"""
     return _vmax(ctx.DZY - 2.0 * ctx.XdotLap * ctx.Yv)
 
 
 @dataclass(frozen=True)
 class _Entry:
     fn: Callable[[_Ctx], np.ndarray]
-    doc: str
     simple_only: bool = False
     needs_w: bool = False
 
 
 REGISTRY: dict[str, _Entry] = {
-    "directional_w_-1": _Entry(_directional_w(-1.0),
-                               "X.grad(1/w) = -(1/3)(div X)/w", needs_w=True),
-    "directional_w_1": _Entry(_directional_w(1.0),
-                              "X.grad(w) = (1/3)(div X) w", needs_w=True),
-    "directional_w_3": _Entry(_directional_w(3.0),
-                              "X.grad(w^3) = (div X) w^3"),
-    "grad_xx_gradw2": _Entry(_grad_xx_gradw2,
-                             "grad_X X = -1/2 grad(w^2) + (2/3)(div X) X"),
-    "xy_from_gradxx": _Entry(_xy_from_gradxx,
-                             "X x Y = -2 grad_X X + (2/3)(div X) X"),
-    "grad_xx_xy": _Entry(_grad_xx_xy,
-                         "grad_X X = (1/3)(div X) X - 1/2 X x Y"),
-    "grad_w2": _Entry(_grad_w2, "grad(w^2) = (2/3)(div X) X + X x Y"),
-    "xcross_grad_w": _Entry(_xcross_grad_w,
-                            "(X x grad) w = 1/2 (X.Y) X / w - 1/2 w Y",
-                            needs_w=True),
-    "triple_cross_xxy": _Entry(_triple_cross_xxy,
-                               "X x (X x Y) = (X.Y) X - w^2 Y"),
-    "curl_is_killing": _Entry(_curl_is_killing,
-                              "d_i Y_j + d_j Y_i = 0 for Y = curl X"),
-    "grad_xy_gradxdoty": _Entry(_grad_xy_gradxdoty,
-                                "grad_X Y = (1/3)(div X) Y - grad(X.Y)"),
-    "grad_xy_laplacian": _Entry(_grad_xy_laplacian,
-                                "grad_X Y = 2 X x (lap X)"),
-    "grad_xxy_y": _Entry(_grad_xxy_y,
-                         "grad_{XxY} Y = 2(X.lap X) Y - 2(Y.lap X) X"),
-    "laplacian_is_grad_div": _Entry(_laplacian_is_grad_div,
-                                    "lap X = -(1/3) grad(div X)"),
-    "XdotY_zero": _Entry(_xdoty_zero, "X.Y = 0", simple_only=True),
-    "xxy_norm_simple": _Entry(_xxy_norm_simple, "|X x Y| = w |Y|",
-                              simple_only=True),
-    "triple_cross_simple": _Entry(_triple_cross_simple,
-                                  "X x (X x Y) = -w^2 Y", simple_only=True),
-    "grad_w_norm_simple": _Entry(_grad_w_norm_simple,
-                                 "|grad w|^2 = (1/9)(div X)^2 + (1/4)|Y|^2",
-                                 simple_only=True, needs_w=True),
-    "grad_xy_simple": _Entry(_grad_xy_simple,
-                             "grad_X Y = (1/3)(div X) Y", simple_only=True),
-    "grad_xxy_simple": _Entry(_grad_xxy_simple,
-                              "grad_{XxY} Y = 2 (X.lap X) Y",
-                              simple_only=True),
+    "directional_w_-1": _Entry(_directional_w(-1.0), needs_w=True),
+    "directional_w_1": _Entry(_directional_w(1.0), needs_w=True),
+    "directional_w_3": _Entry(_directional_w(3.0)),
+    "grad_xx_gradw2": _Entry(_grad_xx_gradw2),
+    "xy_from_gradxx": _Entry(_xy_from_gradxx),
+    "grad_xx_xy": _Entry(_grad_xx_xy),
+    "grad_w2": _Entry(_grad_w2),
+    "xcross_grad_w": _Entry(_xcross_grad_w, needs_w=True),
+    "triple_cross_xxy": _Entry(_triple_cross_xxy),
+    "curl_is_killing": _Entry(_curl_is_killing),
+    "grad_xy_gradxdoty": _Entry(_grad_xy_gradxdoty),
+    "grad_xy_laplacian": _Entry(_grad_xy_laplacian),
+    "grad_xxy_y": _Entry(_grad_xxy_y),
+    "laplacian_is_grad_div": _Entry(_laplacian_is_grad_div),
+    "XdotY_zero": _Entry(_xdoty_zero, simple_only=True),
+    "xxy_norm_simple": _Entry(_xxy_norm_simple, simple_only=True),
+    "triple_cross_simple": _Entry(_triple_cross_simple, simple_only=True),
+    "grad_w_norm_simple": _Entry(_grad_w_norm_simple, simple_only=True,
+                                 needs_w=True),
+    "grad_xy_simple": _Entry(_grad_xy_simple, simple_only=True),
+    "grad_xxy_simple": _Entry(_grad_xxy_simple, simple_only=True),
 }
 
-IDENTITY_IDS = tuple(REGISTRY)
 GENERAL_IDS = tuple(k for k, e in REGISTRY.items() if not e.simple_only)
 SIMPLE_ONLY_IDS = tuple(k for k, e in REGISTRY.items() if e.simple_only)
-
-
-def identity_doc(identity_id: str) -> str:
-    try:
-        return REGISTRY[identity_id].doc
-    except KeyError:
-        raise UnknownIdentity(identity_id) from None
 
 
 def check_identity(identity_id: str, p: CkfParams, x) -> IdentityReport:

@@ -36,9 +36,9 @@ from typing import Optional
 import numpy as np
 
 from .ckf import (CkfParams, eval_ckf, field_ro, field_cr, field_iso,
-                  frame_quantities, frame_threshold)
-from .errors import ConstructionFailed, FrameUndefined, NotParallel
-from .jets import (seed, value, derivative, order, partial, truncate, jexp,
+                  frame_quantities)
+from .errors import ConstructionFailed, NotParallel
+from .jets import (seed, value, derivative, order, truncate, jexp,
                    jsqrt, jsin, jcos, jreal, jimag, vcross, vcurl, vnorm2)
 from .spinors import (_D_core, losyau_mode, losyau_psi, sigma_apply,
                       spinor_abs, spinor_inner, smooth_bump_scalar)
@@ -47,9 +47,8 @@ __all__ = [
     "Profile", "smoothbump", "gaussian", "polynomial", "constant",
     "PotentialSpec", "axial", "hopfbase", "modulated", "lossyau",
     "scaled", "gauged", "parent_field", "potential_components",
-    "eval_potential", "eval_field", "field_divergence",
-    "parallelism_residual", "construct_losyau", "fw3_along_curve",
-    "spec_from_dict", "GAUGE_NAMES",
+    "eval_potential", "eval_field", "parallelism_residual",
+    "construct_losyau", "spec_from_dict",
 ]
 
 PARALLEL_TOL = 1.0e-8       # largest residual that counts as parallel
@@ -138,9 +137,6 @@ def _gauge_sin_x1_x2(xc):
 def _gauge_x1x2x3(xc):
     x1, x2, x3 = xc
     return x1 * x2 * x3, [x2 * x3, x1 * x3, x1 * x2]
-
-
-GAUGE_NAMES = ("sin_x1_x2", "x1x2x3", "linear:k1,k2,k3")
 
 
 def gauge_pair(name: str, xc):
@@ -307,16 +303,6 @@ def eval_field(spec: PotentialSpec, x):
                          x.shape[1:])
 
 
-def field_divergence(spec: PotentialSpec, x):
-    """div curl A, identically zero; exact derivatives make this a sharp check."""
-    x = _as_batch(x)
-    b = vcurl(potential_components(spec, seed(x, order=2)))
-    out = 0.0
-    for i in range(3):
-        out = out + value(partial(b[i], i))
-    return np.asarray(out) + np.zeros(x.shape[1:])
-
-
 def _parallel_residual(A, X):
     """|B x X| / max(|X| max(|B|, floor), tiny) pointwise, B = curl A.
 
@@ -356,7 +342,7 @@ class _Field:
     or plain coordinates; the values are the same bits either way.
 
     Every consumer reads it: the spinor-operator cores, holonomy, the loop
-    integrals, planarity and f w^3 along orbits.
+    integrals and planarity.
     """
 
     __slots__ = ("X", "w", "divX", "Y", "invw", "A", "order", "_views",
@@ -467,22 +453,3 @@ def construct_losyau(n_points: int = 1000, rng_seed: int = 7):
             f"|D psi|/|psi|={dirac_residual:.3e} parallelism={par:.3e}")
     return spec, losyau_mode()
 
-
-# -- along-orbit invariant -------------------------------------------------
-
-def fw3_along_curve(spec: PotentialSpec, trace):
-    """f w^3 at the trace samples, with B = f X; constant on integral curves.
-
-    Accepts a CurveTrace or a bare (3, N) array of points.  Returns
-    (values, spread) with spread = max - min.
-    """
-    xs = np.asarray(getattr(trace, "xs", trace), dtype=float)
-    p = parent_field(spec)
-    ctx = _Field(p, spec, seed(xs, order=1))
-    w = value(ctx.w)
-    if np.any(w <= frame_threshold(p)):
-        raise FrameUndefined("trace sample with w below the frame threshold")
-    B = _field_values(ctx.A, xs.shape[1:])
-    X = np.stack([value(c) for c in ctx.X])
-    values = (B * X).sum(axis=0) * w        # f w^3 = (B.X) w
-    return values, float(values.max() - values.min())

@@ -29,11 +29,16 @@ __all__ = ["gl2_axis", "periodic_trapezoid", "QuadBox", "box_axes"]
 _GL_OFF = 1.0 / np.sqrt(3.0)
 
 
-def gl2_axis(lo: float, hi: float, n: int):
-    """Nodes and weights of the composite 2-point rule with n = 2*cells nodes."""
+def _even_nodes(n: int) -> int:
+    """n, if the composite 2-point rule can have n nodes."""
     if n < 2 or n % 2:
         raise ValueError("need an even node count >= 2")
-    cells = n // 2
+    return n
+
+
+def gl2_axis(lo: float, hi: float, n: int):
+    """Nodes and weights of the composite 2-point rule with n = 2*cells nodes."""
+    cells = _even_nodes(n) // 2
     h = (hi - lo) / cells
     centers = lo + (np.arange(cells) + 0.5) * h
     nodes = np.empty(n)
@@ -60,8 +65,7 @@ class QuadBox:
     def __post_init__(self):
         if len(self.ranges) != 3 or any(lo >= hi for lo, hi in self.ranges):
             raise ValueError("need three nonempty (lo, hi) ranges")
-        if self.n < 2 or self.n % 2:
-            raise ValueError("need an even node count >= 2")
+        _even_nodes(self.n)
 
 
 def box_axes(box: QuadBox):

@@ -48,8 +48,8 @@ from .spinors import (SpinorField, _D_core, _covariant, _order, eval_spinor,
 
 __all__ = [
     "apply_D", "apply_Q", "apply_S", "commutator_residuals",
-    "norm_decomposition_check", "CutoffPair", "chi0", "chi0_prime",
-    "chi0_prime_max", "chi_R", "grad_chi_R", "eta_eps", "cutoff_bound_check",
+    "norm_decomposition_check", "CutoffPair", "chi0_prime", "CHI0_PRIME_MAX",
+    "grad_chi_R", "cutoff_bound_check",
 ]
 
 # -- pointwise cores on jets ------------------------------------------------
@@ -265,23 +265,10 @@ def norm_decomposition_check(p: CkfParams, spec: Optional[PotentialSpec],
 
 # -- cutoff functions --------------------------------------------------------
 
-def _estep(s):
-    # exp(-1/s) for s > 0, 0 otherwise, without evaluating 1/0
-    s = np.asarray(s, dtype=float)
-    pos = s > 0.0
-    safe = np.where(pos, s, 1.0)
-    return np.where(pos, np.exp(-1.0 / safe), 0.0)
-
-
-def chi0(t):
-    """C-infinity non-increasing step: 1 for t <= 0, 0 for t >= 1."""
-    a = _estep(1.0 - np.asarray(t, dtype=float))
-    b = _estep(np.asarray(t, dtype=float))
-    return a / (a + b)
-
-
 def chi0_prime(t):
-    """d chi0 / dt, closed form; supported on (0, 1)."""
+    """d chi0 / dt in closed form, supported on (0, 1), for the C-infinity
+    step chi0(t) = e(1-t) / (e(1-t) + e(t)), e(s) = exp(-1/s) for s > 0 and
+    0 otherwise: chi0 = 1 for t <= 0 and 0 for t >= 1."""
     t = np.asarray(t, dtype=float)
     inside = (t > 0.0) & (t < 1.0)
     ts = np.where(inside, t, 0.5)
@@ -293,21 +280,17 @@ def chi0_prime(t):
     return np.where(inside, val, 0.0)
 
 
-def chi0_prime_max() -> float:
-    """||chi0'||_inf = 2, exactly.
-
-    chi0 = s(-u) with the logistic s(u) = 1/(1 + e^-u) and
-    u = 1/(1-t) - 1/t, so |chi0'| = u' s(u) s(-u).  That is symmetric about
-    t = 1/2 and increasing on (0, 1/2], so the maximum sits at t = 1/2,
-    where u' = 8 and s(0)^2 = 1/4.
-    """
-    return 2.0
+# ||chi0'||_inf = 2, exactly: chi0 = s(-u) with the logistic
+# s(u) = 1/(1 + e^-u) and u = 1/(1-t) - 1/t, so |chi0'| = u' s(u) s(-u).
+# That is symmetric about t = 1/2 and increasing on (0, 1/2], so the
+# maximum sits at t = 1/2, where u' = 8 and s(0)^2 = 1/4.
+CHI0_PRIME_MAX = 2.0
 
 
 @dataclass(frozen=True)
 class CutoffPair:
-    """Outer cutoff chi_R (1 inside |x| <= R, 0 outside |x| >= R^e) and the
-    inner cutoff eta_eps = chi_{1/eps}(1/w) for the attached field."""
+    """The outer cutoff radius R of chi_R (see `grad_chi_R`) and the inner
+    cutoff level eps of eta_eps = chi_{1/eps}(1/w) for the attached field."""
 
     ckf: CkfParams
     R: float
@@ -320,23 +303,10 @@ class CutoffPair:
             raise ValueError("need 0 < eps < 1")
 
 
-def _loglog_step(r, R: float):
-    r = np.asarray(r, dtype=float)
-    lo = np.log(np.log(R))
-    big = r > math.e
-    rs = np.where(big, r, math.e * 1.0000001)
-    arg = np.log(np.log(rs)) - lo
-    return np.where(big, chi0(arg), 1.0)
-
-
-def chi_R(c: CutoffPair, x):
-    """chi_R(|x|); = 1 for |x| <= R, = 0 for |x| >= R^e."""
-    x = np.asarray(x, dtype=float)
-    return _loglog_step(np.sqrt((x * x).sum(axis=0)), c.R)
-
-
 def grad_chi_R(c: CutoffPair, x):
-    """grad chi_R = chi0'(loglog|x| - loglog R) x / (|x|^2 log|x|)."""
+    """grad chi_R = chi0'(loglog|x| - loglog R) x / (|x|^2 log|x|) for the
+    outer cutoff chi_R(x) = chi0(loglog|x| - loglog R), which is 1 for
+    |x| <= R and 0 for |x| >= R^e."""
     x = np.asarray(x, dtype=float)
     r = np.sqrt((x * x).sum(axis=0))
     lo = np.log(np.log(c.R))
@@ -345,16 +315,6 @@ def grad_chi_R(c: CutoffPair, x):
     s = np.log(np.log(rs)) - lo
     coef = np.where(active, chi0_prime(s) / (rs * rs * np.log(rs)), 0.0)
     return coef * x
-
-
-def eta_eps(c: CutoffPair, x):
-    """Inner cutoff: 1 where w >= eps, 0 where w small; needs eps < 1/e."""
-    if not c.eps < 1.0 / math.e:
-        raise ValueError("eta_eps needs eps < 1/e (so that 1/eps > e)")
-    x = np.asarray(x, dtype=float)
-    w = np.sqrt((eval_ckf(c.ckf, x) ** 2).sum(axis=0))
-    w = np.maximum(w, 1.0e-300)
-    return _loglog_step(1.0 / w, 1.0 / c.eps)
 
 
 def cutoff_bound_check(c: CutoffPair):
@@ -383,5 +343,5 @@ def cutoff_bound_check(c: CutoffPair):
 
     rr = np.sqrt((pts * pts).sum(axis=0))
     C = float(np.max(np.sqrt(w) / (1.0 + rr)))
-    bound = 2.0 * C * chi0_prime_max() / np.log(c.R)
+    bound = 2.0 * C * CHI0_PRIME_MAX / np.log(c.R)
     return sup_outer, bound

@@ -1,4 +1,4 @@
-"""Field evaluation, frames, and classification round trips."""
+"""Field evaluation, frame quantities, and classification round trips."""
 
 import json
 
@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from ckfield.ckf import (EPS_CLASSIFY, CkfParams, _norm, ckf_components,
                          classify, div_ckf, eval_ckf, field_cr, field_iso,
-                         field_ro, field_ud, frame_at, frame_quantities,
-                         frame_threshold, is_simple_rotation, jacobian_ckf,
-                         reconstruct, simple_rotation_residual)
-from ckfield.errors import FrameUndefined, NotSimpleRotation, ZeroField
+                         field_ro, field_ud, frame_quantities,
+                         frame_threshold, is_simple_rotation, reconstruct,
+                         simple_rotation_residual)
+from ckfield.errors import NotSimpleRotation, ZeroField
 from ckfield.identities import check_identity
 from ckfield.jets import partial, seed, value, vcross
 
@@ -52,6 +52,19 @@ def test_eval_batch_matches_single(rng):
         assert np.allclose(batch[:, j], eval_ckf(p, xs[:, j]))
 
 
+def jacobian_ckf(p: CkfParams, x) -> np.ndarray:
+    """J[i, j] = dX_j/dx_i at a plain point, from the closed form
+    b0 d_ij + eps_jki b_k + c_i x_j + (c.x) d_ij - x_i c_j."""
+    x = np.asarray(x, dtype=float)
+    b, c = p.b, p.c
+    J = (p.b0 + float(c @ x)) * np.eye(3)
+    J += np.array([[0.0, b[2], -b[1]],
+                   [-b[2], 0.0, b[0]],
+                   [b[1], -b[0], 0.0]])
+    J += np.outer(c, x) - np.outer(x, c)
+    return J
+
+
 def test_jacobian_matches_jets(rng):
     p = _params(rng.normal(size=3), rng.normal(), rng.normal(size=3),
                 rng.normal(size=3))
@@ -64,27 +77,17 @@ def test_jacobian_matches_jets(rng):
             assert np.isclose(J[i, j], partial(X[j], i), atol=1e-13)
 
 
-def test_frame_at_rotation_example():
-    fr = frame_at(field_ro(), (1.0, 0.0, 0.0))
-    assert np.allclose(fr.Y, (0, 0, 2))
-    assert np.isclose(fr.w, 1.0)
-    assert fr.divX == 0.0
-    assert np.allclose(fr.T, (0, 1, 0))
-    assert np.isclose(fr.T @ fr.N, 0) and np.isclose(fr.T @ fr.B, 0)
-    assert np.isclose(np.linalg.norm(fr.N), 1)
-
-
-def test_frame_at_special_origin():
-    fr = frame_at(field_cr(1.0), (0.0, 0.0, 0.0))
-    assert np.isclose(fr.w, 0.5)
-    assert fr.divX == 0.0
-
-
-def test_frame_at_translation_has_no_frame():
-    fr = frame_at(field_ud(), (0.3, 0.1, -0.5))
-    assert np.isclose(fr.w, 1.0)
-    with pytest.raises(FrameUndefined):
-        fr.T
+@pytest.mark.parametrize("p, x, X, w, Y", [
+    (field_ro(), (1.0, 0.0, 0.0), (0, 1, 0), 1.0, (0, 0, 2)),
+    (field_cr(1.0), (0.0, 0.0, 0.0), (0, 0, 0.5), 0.5, (0, 0, 0)),
+    (field_ud(), (0.3, 0.1, -0.5), (0, 0, 1), 1.0, (0, 0, 0)),
+], ids=["rotation", "special-origin", "translation"])
+def test_frame_quantities_examples(p, x, X, w, Y):
+    Xq, wq, divX, Yq = frame_quantities(p, np.asarray(x))
+    assert np.allclose(np.stack(Xq), X)
+    assert np.isclose(wq, w)
+    assert divX == 0.0
+    assert np.allclose(np.stack(Yq), Y)
 
 
 def test_frame_quantities_closed_forms(rng):

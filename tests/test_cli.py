@@ -18,6 +18,8 @@ import pytest
 
 from ckfield import cli, potentials
 from ckfield.cli import main
+from ckfield.grid import GridSpec
+from ckfield.quadrature import QuadBox
 from ckfield.spinops import apply_D
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -220,7 +222,11 @@ BAD = [
     ("field-lines", "--seed-point", [0.9, 0.0]),
     ("field-lines", "--t-max", "x"),
     ("field-lines", "--t-max", "inf"),
+    ("field-lines", "--t-max", "-1"),
+    ("field-lines", "--t-max", "0"),
     ("field-lines", "--rk-tol", "nan"),
+    ("field-lines", "--rk-tol", "0"),
+    ("field-lines", "--rk-tol", "-1e-9"),
     ("field-lines", "--max-rows", "0"),
     ("loop-integrals", "--potential", "axial:1,2"),
     ("loop-integrals", "--seed-point", "0.9,0"),
@@ -228,6 +234,7 @@ BAD = [
     ("verify-operators", "--spinor", 7),
     ("verify-operators", "--points", "0"),
     ("verify-operators", "--quadrature", "0"),
+    ("verify-operators", "--quadrature", "3"),
     ("verify-operators", "--box", "-1,1,-1,1,-1,x"),
     ("holonomy", "--orbit-seed", "0.9,0,inf"),
     ("holonomy", "--lambdas", "0.5,q"),
@@ -236,12 +243,21 @@ BAD = [
     ("spectrum-sweep", "--potential", "modulated:1:0.1"),
     ("spectrum-sweep", "--grid", "8"),
     ("spectrum-sweep", "--grid", "8.5,3"),
+    ("spectrum-sweep", "--grid", "4,3"),
+    ("spectrum-sweep", "--grid", "8,-3"),
     ("spectrum-sweep", "--stencil", "x"),
+    ("spectrum-sweep", "--stencil", "3"),
     ("spectrum-sweep", "--tol", "inf"),
+    ("spectrum-sweep", "--tol", "0"),
+    ("spectrum-sweep", "--tol", "-1"),
     ("spectrum-sweep", "--coupling", 1),
+    ("spectrum-sweep", "--coupling", "bogus"),
     ("spectrum-sweep", "--ts", "0,x"),
     ("control-losyau", "--grid", "8,nan"),
     ("control-losyau", "--ns", "8,x"),
+    ("control-losyau", "--ns", "4,8"),
+    ("control-losyau", "--stencil", "3"),
+    ("control-losyau", "--tol", "-1e-7"),
     ("control-losyau", "--points", "-3"),
     ("field-eval", "--at", "1,2"),
     ("field-eval", "--at", "0,0,1;x,0,0"),
@@ -271,6 +287,36 @@ def test_malformed_values_exit_2_naming_their_flag(tmp_path, capsys,
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err
     assert not (tmp_path / "runs" / name).exists()    # refused before work
+
+
+# values only the library refuses, with the library's refusal
+LIBRARY_REFUSED = [
+    (("spectrum-sweep", "--potential", "axial", "--grid", "4,3", "--ts", "0"),
+     "--grid", lambda: GridSpec(L=3.0, n=4)),
+    (("spectrum-sweep", "--potential", "axial", "--grid", "8,3", "--ts", "0",
+      "--stencil", "3"), "--stencil", lambda: GridSpec(L=3.0, n=8, order=3)),
+    (("spectrum-sweep", "--potential", "axial", "--grid", "8,3", "--ts", "0",
+      "--coupling", "bogus"),
+     "--coupling", lambda: GridSpec(L=3.0, n=8, coupling="bogus")),
+    (("control-losyau", "--ns", "4,8", "--grid", "8,2.5"),
+     "--ns", lambda: GridSpec(L=2.5, n=4)),
+    (("verify-operators", "--ckf", "ro", "--quadrature", "3"),
+     "--quadrature", lambda: QuadBox(((-1, 1),) * 3, n=3)),
+    (("verify-operators", "--ckf", "ro", "--quadrature", "8",
+      "--box=1,-1,-1,1,-1,1"),
+     "--box", lambda: QuadBox(((1, -1), (-1, 1), (-1, 1)), n=8)),
+]
+
+
+@pytest.mark.parametrize("argv, flag, make", LIBRARY_REFUSED,
+                         ids=[f for _, f, _ in LIBRARY_REFUSED])
+def test_library_refusals_name_their_flag_and_reason(tmp_path, capsys, argv,
+                                                     flag, make):
+    with pytest.raises(ValueError) as refusal:
+        make()
+    assert run(*argv, outdir=tmp_path) == 2
+    assert f"error: {flag}: {refusal.value}\n" == capsys.readouterr().err
+    assert not (tmp_path / argv[0]).exists()
 
 
 def test_norm_check_refuses_a_spinor_the_box_cannot_hold(tmp_path, capsys,

@@ -1,10 +1,10 @@
 """The shared field context against the plain-point formulas, seeded
 values against plain ones, and the one scaled frame rule.
 
-Holonomy, the loop integrals and f w^3 read X, w, div X, Y and A from
+Holonomy and the loop integrals read X, w, div X, Y and A from
 `potentials._Field`.  The references below evaluate the same quantities
 with the plain-point evaluators (`eval_ckf`, `eval_ckf_curl`, `div_ckf`,
-`eval_potential`, `eval_field`); the results must agree bit for bit.  So
+`eval_potential`); the results must agree bit for bit.  So
 must the value of every closed form evaluated on seeded jets and on plain
 points: a jet's value is the plain value.
 """
@@ -15,15 +15,15 @@ import pytest
 import ckfield.holonomy
 from ckfield.ckf import (CanonicalForm, CkfParams, EPS_FRAME, div_ckf,
                          eval_ckf, eval_ckf_curl, field_cr, field_ro,
-                         frame_at, frame_threshold, reconstruct)
+                         frame_threshold, reconstruct)
 from ckfield.errors import FrameUndefined
 from ckfield.flows import cr_orbit_seed, integrate_curve, loop_integrals
 from ckfield.holonomy import admissible_spectrum, frame_spinor, phase_integrand
 from ckfield.jets import seed, value
-from ckfield.potentials import (axial, constant, eval_field, eval_potential,
-                                fw3_along_curve, gauged, gaussian, hopfbase,
-                                lossyau, modulated, parent_field, polynomial,
-                                potential_components, scaled, smoothbump)
+from ckfield.potentials import (axial, constant, eval_potential, gauged,
+                                gaussian, hopfbase, lossyau, modulated,
+                                polynomial, potential_components, scaled,
+                                smoothbump)
 from ckfield.spinops import apply_S, commutator_residuals
 from ckfield.spinors import (bump_packet, eval_spinor, gaussian_packet,
                              losyau_mode)
@@ -70,13 +70,6 @@ def _ref_loops(p, spec, trace):
     return int_div, int_absY, int_flux
 
 
-def _ref_fw3(spec, xs):
-    X = eval_ckf(parent_field(spec), xs)
-    w2 = (X ** 2).sum(axis=0)
-    values = (eval_field(spec, xs) * X).sum(axis=0) * np.sqrt(w2)
-    return values, float(values.max() - values.min())
-
-
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and \
@@ -96,10 +89,6 @@ def test_context_matches_plain_point_formulas_bitwise(kind, arg):
         assert _same_bits(res.phase_integral, complex(trace.weights @ ref))
         assert tuple(loop_integrals(trace, p, spec)) == \
             _ref_loops(p, spec, trace)
-        if spec is not None:
-            values, spread = fw3_along_curve(spec, trace)
-            ref_values, ref_spread = _ref_fw3(spec, trace.xs)
-            assert _same_bits(values, ref_values) and spread == ref_spread
 
 
 _AXIAL = axial(smoothbump(0.2, 4.0, 0.7))
@@ -192,31 +181,6 @@ def test_frame_rule_is_relative_to_the_field_scale():
         frame_spinor(p, x)
     with pytest.raises(FrameUndefined):
         integrate_curve(p, x)
-
-
-def test_frame_at_uses_the_scaled_frame_rule():
-    # the field and point above: w is above EPS_FRAME but not above
-    # frame_threshold(p), so there is no frame
-    p = CkfParams(a=np.zeros(3), b0=0.0, b=np.array([0.0, 0.0, 1.0e3]),
-                  c=np.zeros(3))
-    fr = frame_at(p, [5.0e-11, 0.0, 0.0])
-    assert EPS_FRAME < fr.w <= frame_threshold(p)
-    for name in ("T", "N", "B"):
-        with pytest.raises(FrameUndefined):
-            getattr(fr, name)
-
-
-def test_fw3_along_curve_uses_the_scaled_frame_rule():
-    # hopfbase(mu) with mu^2 / 2 = 1e3: its parent field has scale 1e3, and
-    # w = 4.9e-8 just outside the degenerate circle of radius mu
-    mu = np.sqrt(2000.0)
-    spec = hopfbase(mu)
-    p = parent_field(spec)
-    xs = np.array([[mu + 1.1e-9], [0.0], [0.0]])
-    w = float(np.linalg.norm(eval_ckf(p, xs[:, 0])))
-    assert EPS_FRAME < w <= frame_threshold(p) == EPS_FRAME * p.scale()
-    with pytest.raises(FrameUndefined):
-        fw3_along_curve(spec, xs)
 
 
 def test_orbit_plane_normal_uses_the_scaled_frame_rule():

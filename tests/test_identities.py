@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from ckfield.ckf import (EPS_FRAME, CkfParams, eval_ckf, field_cr, field_iso,
                          field_ro, field_ud)
 from ckfield.errors import FrameUndefined, UnknownIdentity
-from ckfield.identities import (GENERAL_IDS, IDENTITY_IDS, SIMPLE_ONLY_IDS,
-                                check_identity, identity_doc,
-                                run_identity_suite, sample_points)
+from ckfield.identities import (GENERAL_IDS, REGISTRY, SIMPLE_ONLY_IDS,
+                                check_identity, run_identity_suite,
+                                sample_points)
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite)
@@ -155,20 +155,21 @@ def test_needs_w_raises_on_axis():
 def test_unknown_identity():
     with pytest.raises(UnknownIdentity):
         check_identity("not_an_identity", field_ro(), (1, 0, 0))
-    with pytest.raises(UnknownIdentity):
-        identity_doc("nope")
 
 
 def test_identity_docs_exist():
-    for key in IDENTITY_IDS:
-        assert identity_doc(key)
+    # each identity states its formula as its residual function's docstring
+    docs = [entry.fn.__doc__ for entry in REGISTRY.values()]
+    assert all(doc and " = " in doc for doc in docs), docs
+    assert len(set(docs)) == len(REGISTRY)
 
 
 def test_suite_rotation_and_special():
     for p in (field_ro(), field_cr(2.0)):
         reports = run_identity_suite(p, n_points=100, seed=7)
         assert all(r.passed for r in reports)
-        assert {r.identity_id for r in reports} == set(IDENTITY_IDS)
+        assert ({r.identity_id for r in reports}
+                == set(GENERAL_IDS + SIMPLE_ONLY_IDS))
 
 
 def test_suite_skips_simple_only_for_generic_field(rng):

@@ -1,7 +1,9 @@
 """Every name a library module imports is used there or re-exported,
 every option a library function offers is set by some library or
-benchmark caller, and the frame threshold and the CLI defaults and
-option types are each decided in one place."""
+benchmark caller, every public name of a library module is read by the
+library, the benchmark or the acceptance criteria (or is exempt, with its
+reason, in UNREAD_PUBLIC), and the frame threshold and the CLI defaults
+and option types are each decided in one place."""
 
 import ast
 from pathlib import Path
@@ -167,3 +169,75 @@ def test_cli_handlers_read_typed_options():
                      and isinstance(a.value, ast.Name) and a.value.id == "cfg"
                      for a in node.args)]
     assert not stray, f"int/float of a cfg value in cli.py, lines {stray}"
+
+
+# public names the system keeps though nothing in it reads them, each with
+# its reason; a name that gains a reader or goes must leave the tuple
+UNREAD_PUBLIC = (
+    ("flows", "cr_orbit_closed_form",
+     "the exact orbit nodes of the ROADMAP orbit item are built from it"),
+    ("spinops", "apply_Q",
+     "pointwise form of _Q_core; its test is the core's only pointwise check"),
+    ("spinops", "apply_S",
+     "pointwise form of _S_core; its test is the core's only pointwise check"),
+    ("holonomy", "frame_spinor",
+     "pointwise form of _e0_from_normal and _P_pair, checked only through it"),
+    ("potentials", "parallelism_residual",
+     "pointwise form of _parallel_residual, checked only through it"),
+)
+
+# what the system is: the library, the benchmark and the acceptance criteria
+SYSTEM = (MODULES + sorted((ROOT / "perfbench").rglob("*.py"))
+          + [ROOT / "tests" / "test_acceptance.py"])
+
+
+def _public(tree):
+    """Top-level functions, classes and constants not named with _."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (n for n in names if not n.startswith("_"))
+
+
+def _reads(tree):
+    """Names a module reads, each outside the top-level statement that
+    defines it (a recursive call is no reader)."""
+    out = set()
+    for stmt in tree.body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name != own:
+                out.add(name)
+    return out
+
+
+def test_public_names_are_read():
+    # __init__'s re-export reads nothing; a test reading a name makes it no
+    # part of the system, so the name belongs in the tests as their oracle
+    read = set().union(*(_reads(ast.parse(f.read_text())) for f in SYSTEM))
+    tests = {f: _reads(ast.parse(f.read_text()))
+             for f in sorted((ROOT / "tests").glob("test_*.py"))}
+    public = {(path.stem, name) for path in MODULES
+              for name in _public(ast.parse(path.read_text()))}
+    exempt = {(mod, name) for mod, name, _ in UNREAD_PUBLIC}
+    unread = [f"{mod}.{name} (read only by "
+              f"{[f.name for f, r in tests.items() if name in r]})"
+              for mod, name in sorted(public - exempt) if name not in read]
+    assert not unread, f"public names only tests read: {unread}"
+    stale = sorted(f"{mod}.{name}" for mod, name in exempt
+                   if (mod, name) not in public or name in read)
+    assert not stale, f"exempt names that are read or gone: {stale}"

@@ -8,14 +8,13 @@ import pytest
 from ckfield.ckf import eval_ckf, field_cr, field_iso, field_ro
 from ckfield.errors import ConstructionFailed, FrameUndefined
 from ckfield.flows import integrate_curve
-from ckfield.jets import seed, value
-from ckfield.potentials import (GAUGE_NAMES, Profile, axial, constant,
-                                construct_losyau, eval_field, eval_potential,
-                                field_divergence, fw3_along_curve, gauge_pair,
+from ckfield.jets import partial, seed, value, vcurl
+from ckfield.potentials import (Profile, axial, constant, construct_losyau,
+                                eval_field, eval_potential, gauge_pair,
                                 gaussian, gauged, hopfbase, lossyau, modulated,
                                 parallelism_residual, parent_field, polynomial,
-                                profile_from_dict, scaled, smoothbump,
-                                spec_from_dict)
+                                potential_components, profile_from_dict,
+                                scaled, smoothbump, spec_from_dict)
 
 FD_H = 1e-5
 
@@ -66,6 +65,12 @@ def test_field_matches_finite_difference_curl(rng):
         assert np.allclose(B, curl_fd, atol=1e-7), spec.kind
 
 
+def field_divergence(spec, x):
+    """div curl A at the points x, shape (3, n), from order-2 jets."""
+    b = vcurl(potential_components(spec, seed(x, order=2)))
+    return sum(value(partial(b[i], i)) for i in range(3))
+
+
 def test_field_divergence_vanishes(rng):
     pts = rng.uniform(-2, 2, (3, 64))
     for spec in _specs():
@@ -100,7 +105,6 @@ def test_gauge_pairs_are_consistent(rng):
         gauge_pair("unknown", seed(x, order=1))
     with pytest.raises(ValueError):
         gauge_pair("linear:1,2", seed(x, order=1))
-    assert "sin_x1_x2" in GAUGE_NAMES
 
 
 def test_parent_fields():
@@ -142,6 +146,15 @@ def test_scaled_is_linear(rng):
 def test_modulation_requires_supported_base():
     with pytest.raises(ValueError):
         modulated(lossyau(), constant(1.0))
+
+
+def fw3_along_curve(spec, trace):
+    """f w^3 = (B.X) w at the trace samples, with B = f X, and its spread
+    max - min; constant on integral curves."""
+    X = eval_ckf(parent_field(spec), trace.xs)
+    values = ((eval_field(spec, trace.xs) * X).sum(axis=0)
+              * np.sqrt((X ** 2).sum(axis=0)))
+    return values, float(values.max() - values.min())
 
 
 def test_modulation_factor_constant_on_orbit():

@@ -23,10 +23,10 @@ from ckfield.potentials import (PARALLEL_TOL, axial, eval_potential, gaussian,
                                 gauged, hopfbase, lossyau, parallelism_residual,
                                 scaled, smoothbump)
 from ckfield.quadrature import QuadBox, box_axes
-from ckfield.spinops import (CutoffPair, apply_D, apply_Q, apply_S, chi0,
-                             chi0_prime, chi0_prime_max, chi_R,
-                             commutator_residuals, cutoff_bound_check,
-                             eta_eps, grad_chi_R, norm_decomposition_check)
+from ckfield.spinops import (CHI0_PRIME_MAX, CutoffPair, apply_D, apply_Q,
+                             apply_S, chi0_prime, commutator_residuals,
+                             cutoff_bound_check, grad_chi_R,
+                             norm_decomposition_check)
 from ckfield.spinors import (PAULI, bump_packet, eval_spinor, gaussian_packet,
                              losyau_mode, sigma_apply, spinor_abs)
 
@@ -444,7 +444,34 @@ def test_norm_decomposition_needs_simple_rotation():
 
 
 # ---------------------------------------------------------------------------
-# cutoff functions
+# cutoff functions: the cutoffs themselves are the finite-difference oracles
+# of the derivatives the library computes
+
+
+def _estep(s):
+    # exp(-1/s) for s > 0, 0 otherwise, without evaluating 1/0
+    s = np.asarray(s, dtype=float)
+    pos = s > 0.0
+    safe = np.where(pos, s, 1.0)
+    return np.where(pos, np.exp(-1.0 / safe), 0.0)
+
+
+def chi0(t):
+    """C-infinity non-increasing step: 1 for t <= 0, 0 for t >= 1."""
+    a = _estep(1.0 - np.asarray(t, dtype=float))
+    b = _estep(np.asarray(t, dtype=float))
+    return a / (a + b)
+
+
+def chi_R(c, x):
+    """chi0(loglog|x| - loglog R) for |x| > e, else 1: so 1 for |x| <= R
+    and 0 for |x| >= R^e."""
+    x = np.asarray(x, dtype=float)
+    r = np.sqrt((x * x).sum(axis=0))
+    big = r > math.e
+    rs = np.where(big, r, math.e * 1.0000001)
+    return np.where(big, chi0(np.log(np.log(rs)) - np.log(np.log(c.R))),
+                    1.0)
 
 
 def test_chi0_endpoints_and_midpoint():
@@ -470,15 +497,15 @@ def test_chi0_prime_matches_fd_and_support():
 
 
 def test_chi0_prime_max_value():
-    m = chi0_prime_max()
-    assert m == pytest.approx(2.0, abs=1.0e-9)
-    # cached second call
-    assert chi0_prime_max() == m
+    # the grid holds t = 1/2, where |chi0'| attains its maximum
+    t = np.linspace(0.0, 1.0, 2_000_001)
+    assert np.abs(chi0_prime(t)).max() == pytest.approx(CHI0_PRIME_MAX,
+                                                        abs=1.0e-9)
 
 
 def test_chi0_prime_max_is_exactly_two():
     t = np.linspace(0.0, 1.0, 2_000_001)
-    assert np.abs(chi0_prime(t)).max() <= chi0_prime_max() == 2.0
+    assert np.abs(chi0_prime(t)).max() <= CHI0_PRIME_MAX == 2.0
 
 
 def test_cutoff_pair_validation():
@@ -513,17 +540,6 @@ def test_grad_chi_R_matches_fd():
                                atol=1.0e-8)
     # vanishes off the transition shell
     assert np.all(grad_chi_R(c, 0.5 * c.R * np.eye(3)[:, :1]) == 0.0)
-
-
-def test_eta_eps_levels():
-    c = CutoffPair(field_cr(1.0), R=math.e ** 2, eps=0.05)
-    # w = 0.5 at the origin for this field, far above eps
-    assert eta_eps(c, np.zeros((3, 1)))[0] == 1.0
-    # next to the zero circle w is tiny, so the inner cutoff vanishes
-    near = np.array([[1.0 + 1.0e-9], [0.0], [0.0]])
-    assert eta_eps(c, near)[0] == 0.0
-    with pytest.raises(ValueError):
-        eta_eps(CutoffPair(field_cr(1.0), R=10.0, eps=0.5), np.zeros((3, 1)))
 
 
 def test_cutoff_bound_and_halving():
