@@ -50,7 +50,8 @@ def _scale(p: CkfParams, na: float, nb: float, nc: float) -> float:
 
 def frame_threshold(p: CkfParams) -> float:
     """w and |Y| at or below which operators, orbits and holonomy of p have
-    no frame: EPS_FRAME relative to the field's scale."""
+    no frame: EPS_FRAME relative to the field's scale.  The field context
+    `potentials._Field` is the one place that applies it."""
     return EPS_FRAME * max(1.0, p.scale())
 
 
@@ -173,14 +174,6 @@ def eval_ckf(p: CkfParams, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
     xc = [x[0], x[1], x[2]]
     return np.stack([np.asarray(v, float) for v in ckf_components(p, xc)])
-
-
-def eval_ckf_curl(p: CkfParams, x) -> np.ndarray:
-    """curl X at plain points, shape (3,) + batch."""
-    x = np.asarray(x, dtype=float)
-    comps = curl_components(p, [x[0], x[1], x[2]])
-    return np.stack([np.broadcast_to(np.asarray(v, float), x.shape[1:])
-                     for v in comps])
 
 
 def frame_quantities(p: CkfParams, xc):

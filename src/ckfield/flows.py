@@ -21,8 +21,10 @@ N = max(64, ceil(ln eps / ln rho)) equispaced nodes with weights tau/N, eps
 below double roundoff: a few hundred at rho = 0.9.
 
 `loop_integrals` and `planarity_and_curvature` read X, w, div X, Y, A and
-the jets of X from a `potentials._Field` context on the trace nodes;
-`integrate_curve` needs w above `ckf.frame_threshold(p)` at the start.
+the jets of X from a `potentials._Field` context on the trace nodes.
+`integrate_curve` reads the seed's X and Y from a context at x0, which
+refuses a seed with no frame (w = 0) and gives the plane normal Y/|Y|, or
+None where Y vanishes.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .ckf import (CanonicalForm, CkfParams, _norm, classify, eval_ckf,
-                  eval_ckf_curl, frame_threshold)
+from .ckf import CanonicalForm, CkfParams, _norm, classify
 from .errors import (BlowUp, FrameUndefined, IntegrationFailed,
                      NotAdmissible, NotClosed, NotSimpleRotation, ZeroField)
 from .jets import partial, seed, value, vcross, vdot
@@ -105,12 +106,6 @@ class FixedPointCensus:
 
     isolated: tuple
     degenerate: Optional[dict]
-
-    def __iter__(self):
-        return iter(self.isolated)
-
-    def __len__(self):
-        return len(self.isolated)
 
 
 def _rhs(p: CkfParams):
@@ -187,15 +182,13 @@ def integrate_curve(p: CkfParams, x0, t_max: Optional[float] = None,
         raise NotAdmissible(f"{cf.kind} fields have no admissible flow")
 
     x0 = np.asarray(x0, dtype=float).reshape(3)
-    X0 = eval_ckf(p, x0)
+    ctx = _Field(p, None, x0)
+    ctx.check_frame("starting point is (numerically) a zero of X", False)
+    X0 = np.array(ctx.X)
     w0 = float(np.linalg.norm(X0))
-    eps = frame_threshold(p)
-    if w0 <= eps:
-        raise FrameUndefined("starting point is (numerically) a zero of X")
     nhat = X0 / w0
 
-    Y0 = eval_ckf_curl(p, x0)
-    absY0 = float(np.linalg.norm(Y0))
+    absY0 = float(np.linalg.norm(ctx.Y))
     tau_char = 4.0 * np.pi / absY0 if absY0 > 0.0 else None
     rho = _orbit_rho(cf, x0)
     if cf.kind != "Translation" and rho < 1.0:
@@ -255,7 +248,7 @@ def integrate_curve(p: CkfParams, x0, t_max: Optional[float] = None,
 
     return CurveTrace(ts=ts, xs=xs, weights=wts, closed=closed,
                       period=period,
-                      plane_normal=(Y0 / absY0 if absY0 > eps else None),
+                      plane_normal=ctx.plane_normal(),
                       x0=x0, closure_error=closure, nfev=int(sol.nfev),
                       steps=int(sol.t.size - 1), speed_ratio=ratio)
 

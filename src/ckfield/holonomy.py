@@ -20,8 +20,8 @@ X, w, div X, Y and A come from one `potentials._Field` context per call:
 `admissible_spectrum` seeds it at order 1 and reads the phase integrand
 (order-0 view) and the sector coefficients from it; `phase_integrand` and
 `transport` need no derivatives and read the same integrand, bit for bit,
-from the unseeded nodes.  Frames need w and |Y| above
-`ckf.frame_threshold(p)`.
+from the unseeded nodes.  Frames need w > 0 and |Y| > 0, which the context
+decides (`_Field.check_frame`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ckf import CkfParams, frame_threshold
+from .ckf import CkfParams
 from .errors import FrameUndefined, NotClosed, SectorMismatch
 from .flows import CurveTrace
 from .jets import seed, value, vdot
@@ -55,31 +55,12 @@ class HolonomyResult:
     sector_mismatch: float       # |monodromy(+) - monodromy(-)| from jets
     sector_vs_scalar: float      # max |<e_pm, Q e_pm> - scalar integrand|
 
-    @property
-    def admissible_lambdas(self) -> dict:
-        return {"offset": self.offset, "step": self.step}
 
-    def lambdas_near(self, lo: float, hi: float):
-        """The admissible eigenvalues inside [lo, hi]."""
-        k0 = int(np.floor((lo - self.offset) / self.step))
-        out = []
-        k = k0
-        while self.offset + k * self.step <= hi:
-            lam = self.offset + k * self.step
-            if lam >= lo:
-                out.append(lam)
-            k += 1
-        return out
-
-
-def _phase_values(p: CkfParams, ctx: _Field) -> np.ndarray:
+def _phase_values(ctx: _Field) -> np.ndarray:
     # |Y|/4 - (2i/3) div X - X.A from the context's order-0 view
+    ctx.check_frame("orbit leaves {w > 0, |Y| > 0}", True)
     c = ctx.at(0)
-    absY = c.abs_curl()
-    eps = frame_threshold(p)
-    if np.min(value(c.w)) <= eps or np.min(absY) <= eps:
-        raise FrameUndefined("orbit leaves {w > 0, |Y| > 0}")
-    vals = 0.25 * absY - (2.0 / 3.0) * 1j * value(c.divX)
+    vals = 0.25 * c.abs_curl() - (2.0 / 3.0) * 1j * value(c.divX)
     if c.A is not None:
         vals = vals - value(vdot(c.X, c.A))
     return vals
@@ -88,7 +69,7 @@ def _phase_values(p: CkfParams, ctx: _Field) -> np.ndarray:
 def phase_integrand(p: CkfParams, spec: Optional[PotentialSpec],
                     trace: CurveTrace) -> np.ndarray:
     """|Y|/4 - (2i/3) div X - X.A at the trace nodes (complex array)."""
-    return _phase_values(p, _Field(p, spec, trace.xs))
+    return _phase_values(_Field(p, spec, trace.xs))
 
 
 def transport(p: CkfParams, spec: Optional[PotentialSpec],
@@ -106,12 +87,8 @@ def frame_spinor(p: CkfParams, x):
     by the projections P_pm = (I pm S)/2; n is the plane normal Y/|Y|.
     Both returned spinors are unit length when X.Y = 0."""
     ctx = _Field(p, None, np.asarray(x, dtype=float).reshape(3))
-    Y = np.array(ctx.Y)
-    absY = float(np.linalg.norm(Y))
-    eps = frame_threshold(p)
-    if ctx.w <= eps or absY <= eps:
-        raise FrameUndefined("frame spinors need w > 0 and |Y| > 0")
-    e0 = _e0_from_normal(Y / absY)
+    ctx.check_frame("frame spinors need w > 0 and |Y| > 0", True)
+    e0 = _e0_from_normal(ctx.plane_normal())
     return tuple(np.array(E) for E in _P_pair(ctx, e0))
 
 
@@ -154,7 +131,7 @@ def admissible_spectrum(p: CkfParams, spec: Optional[PotentialSpec],
     if not trace.closed:
         raise NotClosed("spectrum needs a closed orbit")
     ctx = _Field(p, spec, seed(trace.xs, order=1))
-    vals = _phase_values(p, ctx)
+    vals = _phase_values(ctx)
     tau = trace.period
     phase = complex(trace.weights @ vals)
     step = 2.0 * np.pi / tau

@@ -36,8 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .ckf import (CkfParams, eval_ckf, field_ro, field_cr, field_iso,
-                  frame_quantities)
-from .errors import ConstructionFailed, NotParallel
+                  frame_quantities, frame_threshold)
+from .errors import ConstructionFailed, FrameUndefined, NotParallel
 from .jets import (seed, value, derivative, order, truncate, jexp,
                    jsqrt, jsin, jcos, jreal, jimag, vcross, vcurl, vnorm2)
 from .spinors import (_D_core, losyau_mode, losyau_psi, sigma_apply,
@@ -342,11 +342,14 @@ class _Field:
     or plain coordinates; the values are the same bits either way.
 
     Every consumer reads it: the spinor-operator cores, holonomy, the loop
-    integrals and planarity.
+    integrals, planarity and the orbit integrator's seed.  It is also the
+    one place that decides whether the batch has a frame: `check_frame`
+    and `plane_normal` compare w and |Y| with `ckf.frame_threshold(p)`,
+    kept as eps.
     """
 
-    __slots__ = ("X", "w", "divX", "Y", "invw", "A", "order", "_views",
-                 "__weakref__")
+    __slots__ = ("X", "w", "divX", "Y", "invw", "A", "eps", "order",
+                 "_views", "__weakref__")
 
     def __init__(self, p: CkfParams, spec: Optional[PotentialSpec], xc):
         # w and 1/w are singular where X vanishes; Q is not, and the S, P and
@@ -355,6 +358,7 @@ class _Field:
             self.X, self.w, self.divX, self.Y = frame_quantities(p, xc)
             self.invw = 1.0 / self.w
         self.A = None if spec is None else potential_components(spec, xc)
+        self.eps = frame_threshold(p)
         self.order = order(xc[0])
         self._views = {}
 
@@ -377,7 +381,7 @@ class _Field:
                 truncate(self.invw, m))
             view.A = None if self.A is None else [truncate(c, m)
                                                   for c in self.A]
-            view.order = m
+            view.eps, view.order = self.eps, m
             view._views = {}
             self._views[m] = view
         return view
@@ -385,6 +389,31 @@ class _Field:
     def abs_curl(self) -> np.ndarray:
         """|Y| at the batch's points."""
         return np.sqrt(value(vnorm2(self.at(0).Y)))
+
+    def check_frame(self, what: str, plane: bool):
+        """Raise FrameUndefined, naming the margins, unless w exceeds the
+        frame threshold on the whole batch, and |Y| too where the caller
+        needs the orbit plane (plane=True)."""
+        c = self.at(0)
+        w = float(np.min(value(c.w)))
+        margins = f"min w = {w:.3e}"
+        low = w <= self.eps
+        if plane:
+            y = float(np.min(c.abs_curl()))
+            margins += f", min |Y| = {y:.3e}"
+            low = low or y <= self.eps
+        if low:
+            raise FrameUndefined(f"{what} ({margins}; frame threshold "
+                                 f"{self.eps:.3e})")
+
+    def plane_normal(self) -> Optional[np.ndarray]:
+        """Y/|Y| at the context's one point, or None where |Y| is at or below
+        the frame threshold.  The quotient divides by np.linalg.norm(Y),
+        which can differ from `abs_curl` in the last bit."""
+        if float(self.abs_curl()) <= self.eps:
+            return None
+        Y = np.array([value(c) for c in self.at(0).Y], dtype=float)
+        return Y / np.linalg.norm(Y)
 
     def check_parallel(self):
         """Raise NotParallel unless B = curl A is parallel to X on the batch;

@@ -18,7 +18,7 @@ and A, evaluated once per point batch), which `holonomy` and `flows` read
 too.  Its parallelism check, which Q and the commutator residuals need,
 takes B = curl A from the gradient of the context's A jets, so each call
 evaluates the potential once.  S, P_pm and the commutator identities need
-w above `ckf.frame_threshold(p)`.
+a frame, w > 0, which the context decides (`_Field.check_frame`).
 
 Every product runs at the derivative order its result carries.  A core
 reads the context truncated to that order (`_Field.at`): D, Q and D_w
@@ -37,9 +37,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ckf import (CkfParams, eval_ckf, frame_threshold, is_simple_rotation,
-                  simple_rotation_residual)
-from .errors import FrameUndefined, NotSimpleRotation, SupportViolation
+from .ckf import CkfParams, is_simple_rotation, simple_rotation_residual
+from .errors import NotSimpleRotation, SupportViolation
 from .jets import seed, value, vdot
 from .potentials import PotentialSpec, _Field, potential_components
 from .quadrature import QuadBox, box_axes
@@ -90,11 +89,6 @@ def _spinor_values(F):
 
 # -- pointwise public API ----------------------------------------------------
 
-def _check_frame(p: CkfParams, ctx: _Field, msg: str):
-    if np.min(value(ctx.w)) <= frame_threshold(p):
-        raise FrameUndefined(msg)
-
-
 def apply_D(spec: Optional[PotentialSpec], f: SpinorField, x) -> np.ndarray:
     """sigma.(-i grad - A) f at x; shape (2,) + batch, complex."""
     xc = seed(x, order=1)
@@ -117,7 +111,7 @@ def apply_S(p: CkfParams, f: SpinorField, x) -> np.ndarray:
     xc = seed(x, order=1)
     ctx = _Field(p, None, xc)
     F = eval_spinor(f, xc)
-    _check_frame(p, ctx, "S = w^{-1} sigma.X needs w > 0")
+    ctx.check_frame("S = w^{-1} sigma.X needs w > 0", False)
     return _spinor_values(_S_core(ctx, F))
 
 
@@ -128,7 +122,7 @@ def commutator_residuals(p: CkfParams, spec: Optional[PotentialSpec],
     ctx = _Field(p, spec, xc)
     F = eval_spinor(f, xc)
     ctx.check_parallel()
-    _check_frame(p, ctx, "commutator identities live in {w > 0}")
+    ctx.check_frame("commutator identities live in {w > 0}", False)
 
     QF = _Q_core(ctx, F)
     DwF = _Dw_core(ctx, F)
@@ -180,7 +174,7 @@ def _support_scan(p: CkfParams, f: SpinorField, grid: QuadBox):
     boundary_peak = float(mag(np.concatenate(faces, axis=1)).max())
 
     on_supp = mags > 1.0e-9 * max(peak, 1.0e-300)
-    w = np.sqrt((eval_ckf(p, pts[:, on_supp]) ** 2).sum(axis=0))
+    w = _Field(p, None, pts[:, on_supp]).w
     w_min = float(w.min()) if w.size else math.inf
     return peak, boundary_peak, w_min
 
@@ -289,18 +283,15 @@ CHI0_PRIME_MAX = 2.0
 
 @dataclass(frozen=True)
 class CutoffPair:
-    """The outer cutoff radius R of chi_R (see `grad_chi_R`) and the inner
-    cutoff level eps of eta_eps = chi_{1/eps}(1/w) for the attached field."""
+    """The outer cutoff radius R of chi_R (see `grad_chi_R`) for the
+    attached field, whose w weights the bound (`cutoff_bound_check`)."""
 
     ckf: CkfParams
     R: float
-    eps: float
 
     def __post_init__(self):
         if not self.R > math.e:
             raise ValueError("need R > e")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("need 0 < eps < 1")
 
 
 def grad_chi_R(c: CutoffPair, x):
@@ -336,7 +327,7 @@ def cutoff_bound_check(c: CutoffPair):
                      np.sin(phi) * np.sin(theta), np.cos(phi)])
 
     pts = (dirs[:, :, None] * r[None, None, :]).reshape(3, -1)
-    w = np.sqrt((eval_ckf(c.ckf, pts) ** 2).sum(axis=0))
+    w = _Field(c.ckf, None, pts).w
     g = grad_chi_R(c, pts)
     gn = np.sqrt((g * g).sum(axis=0))
     sup_outer = float(np.max(np.sqrt(w) * gn))

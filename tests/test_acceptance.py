@@ -329,7 +329,7 @@ def test_criterion_10_cutoff_bound():
     sups = []
     for k in (2, 4, 8):
         sup, bound = cutoff_bound_check(
-            CutoffPair(field_cr(1.0), R=math.e ** k, eps=0.05))
+            CutoffPair(field_cr(1.0), R=math.e ** k))
         assert sup <= bound
         sups.append(sup)
     r1, r2 = sups[0] / sups[1], sups[1] / sups[2]

@@ -3,18 +3,20 @@ values against plain ones, and the one scaled frame rule.
 
 Holonomy and the loop integrals read X, w, div X, Y and A from
 `potentials._Field`.  The references below evaluate the same quantities
-with the plain-point evaluators (`eval_ckf`, `eval_ckf_curl`, `div_ckf`,
-`eval_potential`); the results must agree bit for bit.  So
-must the value of every closed form evaluated on seeded jets and on plain
-points: a jet's value is the plain value.
+with the plain-point evaluators (`eval_ckf`, `div_ckf`, `eval_potential`
+and the curl oracle `eval_ckf_curl` below); the results must agree bit for
+bit.  So must the value of every closed form evaluated on seeded jets and
+on plain points: a jet's value is the plain value.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ckfield.holonomy
-from ckfield.ckf import (CanonicalForm, CkfParams, EPS_FRAME, div_ckf,
-                         eval_ckf, eval_ckf_curl, field_cr, field_ro,
+from ckfield.ckf import (CanonicalForm, CkfParams, EPS_FRAME, curl_components,
+                         div_ckf, eval_ckf, field_cr, field_ro,
                          frame_threshold, reconstruct)
 from ckfield.errors import FrameUndefined
 from ckfield.flows import cr_orbit_seed, integrate_curve, loop_integrals
@@ -49,6 +51,11 @@ def _orbit(kind, arg):
 ORBITS = ([("ro", x0) for x0 in ([0.9, 0.0, 0.2], [1.5, 0.3, -0.4])]
           + [("cr", (mu, rho)) for mu in (0.5, 1.0, 1.7)
              for rho in (0.1, 0.5, 0.9)])
+
+
+def eval_ckf_curl(p, x):
+    # Y = curl X at plain points, shape (3,) + batch, from the closed form
+    return np.stack(curl_components(p, np.asarray(x, dtype=float)))
 
 
 def _ref_phase(p, spec, xs):
@@ -153,8 +160,8 @@ def test_phase_integrand_is_admissible_spectrums_integrand(kind, arg,
     seen = []
     real = ckfield.holonomy._phase_values
 
-    def recording(p, ctx):
-        seen.append(real(p, ctx))
+    def recording(ctx):
+        seen.append(real(ctx))
         return seen[-1]
 
     monkeypatch.setattr(ckfield.holonomy, "_phase_values", recording)
@@ -165,6 +172,14 @@ def test_phase_integrand_is_admissible_spectrums_integrand(kind, arg,
         assert _same_bits(phase_integrand(p, spec, trace), integrand)
 
 
+def _refuses(call, *margins):
+    # the refusal states each measured margin and the threshold
+    with pytest.raises(FrameUndefined) as err:
+        call()
+    for margin in margins:
+        assert margin in str(err.value), (margin, str(err.value))
+
+
 def test_frame_rule_is_relative_to_the_field_scale():
     # scale 1e3: w = 5e-8 is above EPS_FRAME but at most EPS_FRAME * scale
     p = CkfParams(a=np.zeros(3), b0=0.0, b=np.array([0.0, 0.0, 1.0e3]),
@@ -172,15 +187,19 @@ def test_frame_rule_is_relative_to_the_field_scale():
     x = np.array([5.0e-11, 0.0, 0.0])
     w = float(np.linalg.norm(eval_ckf(p, x)))
     assert EPS_FRAME < w <= frame_threshold(p) == EPS_FRAME * 1.0e3
+    margins = (f"min w = {w:.3e}",
+               f"frame threshold {frame_threshold(p):.3e}")
     f = gaussian_packet((0.0, 0.0, 0.0), 0.5)
-    with pytest.raises(FrameUndefined):
-        apply_S(p, f, x)
-    with pytest.raises(FrameUndefined):
-        commutator_residuals(p, None, f, x)
-    with pytest.raises(FrameUndefined):
-        frame_spinor(p, x)
-    with pytest.raises(FrameUndefined):
-        integrate_curve(p, x)
+    _refuses(lambda: apply_S(p, f, x), *margins)
+    _refuses(lambda: commutator_residuals(p, None, f, x), *margins)
+    _refuses(lambda: frame_spinor(p, x), *margins, "min |Y| = 2.000e+03")
+    _refuses(lambda: integrate_curve(p, x), *margins)
+    # a closed orbit one of whose nodes is moved to x
+    trace = integrate_curve(p, [1.0, 0.0, 0.0])
+    assert trace.closed
+    trace = replace(trace, xs=np.concatenate([trace.xs, x[:, None]], axis=1))
+    _refuses(lambda: phase_integrand(p, None, trace), *margins)
+    _refuses(lambda: admissible_spectrum(p, None, trace), *margins)
 
 
 def test_orbit_plane_normal_uses_the_scaled_frame_rule():
@@ -195,3 +214,9 @@ def test_orbit_plane_normal_uses_the_scaled_frame_rule():
     tr = integrate_curve(p, x, t_max=1.0e-4)
     assert not tr.closed
     assert tr.plane_normal is None
+    # the frame spinors and the phase integrand need the plane as well
+    margins = (f"min |Y| = {ny:.3e}",
+               f"frame threshold {frame_threshold(p):.3e}")
+    _refuses(lambda: frame_spinor(p, x), *margins)
+    _refuses(lambda: phase_integrand(p, None, replace(tr, xs=x[:, None])),
+             *margins)

@@ -9,13 +9,13 @@ rather than against the integrator itself.
 import numpy as np
 import pytest
 
-from ckfield.ckf import (CanonicalForm, CkfParams, eval_ckf, field_cr,
-                         field_iso, field_ro, field_ud, reconstruct)
+from ckfield.ckf import (CanonicalForm, CkfParams, curl_components, eval_ckf,
+                         field_cr, field_iso, field_ro, field_ud, reconstruct)
 from ckfield import flows
 from ckfield.errors import (BlowUp, FrameUndefined, IntegrationFailed,
                             NotAdmissible, NotClosed)
 from ckfield.flows import (FixedPoint, cr_orbit_closed_form, cr_orbit_seed,
-                           eval_ckf_curl, fixed_point_census, integrate_curve,
+                           fixed_point_census, integrate_curve,
                            loop_integrals, planarity_and_curvature)
 from ckfield.potentials import axial, hopfbase, smoothbump
 from ckfield.quadrature import periodic_trapezoid
@@ -363,10 +363,10 @@ def test_eval_ckf_curl_closed_form():
     p = CkfParams(a=rng.normal(size=3), b0=0.7, b=rng.normal(size=3),
                   c=rng.normal(size=3))
     xs = rng.normal(size=(3, 17))
-    Y = eval_ckf_curl(p, xs)
+    Y = np.stack(curl_components(p, xs))
     expect = 2.0 * p.b[:, None] + 2.0 * np.cross(p.c[None, :], xs.T).T
     np.testing.assert_allclose(Y, expect, atol=1.0e-13)
-    assert eval_ckf_curl(p, np.array([0.0, 0.0, 0.0])).shape == (3,)
+    assert np.stack(curl_components(p, np.zeros(3))).shape == (3,)
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +375,13 @@ def test_eval_ckf_curl_closed_form():
 
 def test_census_translation_has_no_zeros():
     census = fixed_point_census(field_ud())
-    assert len(census) == 0
+    assert len(census.isolated) == 0
     assert census.degenerate is None
 
 
 def test_census_rotation_axis_line():
     census = fixed_point_census(field_ro())
-    assert len(census) == 0
+    assert len(census.isolated) == 0
     deg = census.degenerate
     assert deg["kind"] == "line"
     np.testing.assert_allclose(deg["point"], np.zeros(3), atol=1.0e-15)
@@ -392,7 +392,7 @@ def test_census_dilation_center():
     p = _dilation(b0=-1.5, x0=(0.2, -0.5, 1.0))
     census = fixed_point_census(p)
     assert census.degenerate is None
-    (fp,) = tuple(census)
+    (fp,) = census.isolated
     assert isinstance(fp, FixedPoint)
     assert fp.kind == "dilation"
     np.testing.assert_allclose(fp.point, [0.2, -0.5, 1.0], atol=1.0e-14)
@@ -403,7 +403,7 @@ def test_census_dilation_center():
 @pytest.mark.parametrize("mu", [0.5, 2.0])
 def test_census_cr_degenerate_circle(mu):
     census = fixed_point_census(field_cr(mu))
-    assert len(census) == 0
+    assert len(census.isolated) == 0
     deg = census.degenerate
     assert deg["kind"] == "circle"
     assert deg["radius"] == pytest.approx(mu, abs=1.0e-14)
@@ -419,19 +419,19 @@ def test_census_special_negative_nu_pair():
     p = _special_nu(-0.5)
     census = fixed_point_census(p)
     assert census.degenerate is None
-    pts = sorted((fp.point[2], fp.kind) for fp in census)
+    pts = sorted((fp.point[2], fp.kind) for fp in census.isolated)
     s = np.sqrt(2.0 * 0.5)
     assert len(pts) == 2
     assert pts[0][0] == pytest.approx(-s, abs=1.0e-14)
     assert pts[1][0] == pytest.approx(s, abs=1.0e-14)
     assert {k for _, k in pts} == {"special"}
-    for fp in census:
+    for fp in census.isolated:
         np.testing.assert_allclose(eval_ckf(p, fp.point), np.zeros(3),
                                    atol=1.0e-14)
 
 
 def test_census_special_zero_nu_dipole():
     census = fixed_point_census(_special_nu(0.0))
-    (fp,) = tuple(census)
+    (fp,) = census.isolated
     assert fp.kind == "dipole"
     np.testing.assert_allclose(fp.point, np.zeros(3), atol=1.0e-15)

@@ -2,8 +2,9 @@
 every option a library function offers is set by some library or
 benchmark caller, every public name of a library module is read by the
 library, the benchmark or the acceptance criteria (or is exempt, with its
-reason, in UNREAD_PUBLIC), and the frame threshold and the CLI defaults
-and option types are each decided in one place."""
+reason, in UNREAD_PUBLIC), so is every member of a public library class,
+and the frame threshold and the CLI defaults and option types are each
+decided in one place."""
 
 import ast
 from pathlib import Path
@@ -116,24 +117,28 @@ def test_every_option_is_set():
 
 
 def _readers(tree, name):
-    """The function enclosing each read of `name` (None at module level)."""
-    def visit(node, fn):
+    """The function or class enclosing each read of `name`, qualified as
+    Class.method (None at module level)."""
+    def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from visit(child, child.name)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                yield from visit(child, child.name if where is None
+                                 else f"{where}.{child.name}")
                 continue
             if ((isinstance(child, ast.Name) and child.id == name
                  and isinstance(child.ctx, ast.Load))
                     or (isinstance(child, ast.Attribute)
                         and child.attr == name)):
-                yield fn
-            yield from visit(child, fn)
+                yield where
+            yield from visit(child, where)
     return visit(tree, None)
 
 
 def test_one_frame_rule():
-    # every unbatched consumer reads the scaled ckf.frame_threshold(p);
-    # only identities, whose CkfParams may be batched, reads EPS_FRAME
+    # only identities, whose CkfParams may be batched, reads EPS_FRAME;
+    # everything else has a frame where the field context potentials._Field
+    # says so, the one reader of the scaled ckf.frame_threshold(p)
     reads = {(path.stem, fn) for path in MODULES
              for fn in _readers(ast.parse(path.read_text()), "EPS_FRAME")}
     assert ("ckf", "frame_threshold") in reads
@@ -141,6 +146,14 @@ def test_one_frame_rule():
                    if mod != "identities"
                    and (mod, fn) != ("ckf", "frame_threshold"))
     assert not stray, f"EPS_FRAME read outside frame_threshold: {stray}"
+    reads = {(path.stem, fn) for path in MODULES
+             for fn in _readers(ast.parse(path.read_text()),
+                                "frame_threshold")}
+    assert reads, "nothing reads frame_threshold"
+    stray = sorted(f"{mod}.{fn}" for mod, fn in reads
+                   if mod != "potentials"
+                   or not str(fn).startswith("_Field."))
+    assert not stray, f"frame_threshold read outside _Field: {stray}"
 
 
 def test_one_home_for_cli_defaults():
@@ -241,3 +254,56 @@ def test_public_names_are_read():
     stale = sorted(f"{mod}.{name}" for mod, name in exempt
                    if (mod, name) not in public or name in read)
     assert not stale, f"exempt names that are read or gone: {stale}"
+
+
+def _members(tree):
+    """(class, member) for the annotated fields, properties and public
+    methods of each public top-level class."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        for item in node.body:
+            if (isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)):
+                name = item.target.id
+            elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = item.name
+            else:
+                continue
+            if not name.startswith("_"):
+                yield node.name, name
+
+
+def _attribute_reads(tree):
+    """Attribute names a module reads, each outside the function of that
+    name (a method calling itself is no reader)."""
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute)
+                    and isinstance(child.ctx, ast.Load) and child.attr != fn):
+                yield child.attr
+            yield from visit(child, fn)
+    return set(visit(tree, None))
+
+
+def test_public_members_are_read():
+    # A member is read where system code reads an attribute of its name,
+    # the class's own methods included: Profile.__call__ is the only reader
+    # of Profile.lo, hi, amplitude, coefficients and val.  The match is by
+    # name alone, so a member passes whose name is read on another object
+    # or only by its own class's validation: the audit could not catch a
+    # field eps that only __post_init__ read, since grid and potentials
+    # read np.finfo(float).eps.
+    read = set().union(*(_attribute_reads(ast.parse(f.read_text()))
+                         for f in SYSTEM))
+    tests = {f: _attribute_reads(ast.parse(f.read_text()))
+             for f in sorted((ROOT / "tests").glob("test_*.py"))}
+    unread = [f"{path.stem}.{cls}.{name} (read only by "
+              f"{[f.name for f, r in tests.items() if name in r]})"
+              for path in MODULES
+              for cls, name in _members(ast.parse(path.read_text()))
+              if name not in read]
+    assert not unread, f"class members only tests read: {unread}"

@@ -14,10 +14,10 @@ import weakref
 import numpy as np
 import pytest
 
-from ckfield.ckf import CkfParams, eval_ckf, field_cr, field_iso, field_ro
+from ckfield.ckf import (CkfParams, curl_components, eval_ckf, field_cr,
+                         field_iso, field_ro)
 from ckfield.errors import (FrameUndefined, NotParallel, NotSimpleRotation,
                             SupportViolation)
-from ckfield.flows import eval_ckf_curl
 from ckfield.jets import Jet, order, seed
 from ckfield.potentials import (PARALLEL_TOL, axial, eval_potential, gaussian,
                                 gauged, hopfbase, lossyau, parallelism_residual,
@@ -64,7 +64,7 @@ def _oracle_Q(p, spec, f, x):
         A = eval_potential(spec, x)
         pieces = [pieces[k] - A[k] * s for k in range(3)]
     X = eval_ckf(p, x)
-    Y = eval_ckf_curl(p, x)
+    Y = curl_components(p, x)
     div = 3.0 * (float(p.b0) + float(p.c @ x))
     sY = sum(Y[k] * PAULI[k] for k in range(3))
     return (sum(X[k] * pieces[k] for k in range(3)) + 0.25 * sY @ s
@@ -510,13 +510,11 @@ def test_chi0_prime_max_is_exactly_two():
 
 def test_cutoff_pair_validation():
     with pytest.raises(ValueError):
-        CutoffPair(field_cr(1.0), R=2.0, eps=0.1)   # R <= e
-    with pytest.raises(ValueError):
-        CutoffPair(field_cr(1.0), R=10.0, eps=1.5)
+        CutoffPair(field_cr(1.0), R=2.0)   # R <= e
 
 
 def test_chi_R_plateau_and_support():
-    c = CutoffPair(field_cr(1.0), R=math.e ** 2, eps=0.05)
+    c = CutoffPair(field_cr(1.0), R=math.e ** 2)
     e3 = np.array([[0.0], [0.0], [1.0]])
     assert chi_R(c, 0.5 * c.R * e3)[0] == 1.0
     assert chi_R(c, 0.999 * c.R * e3)[0] == 1.0
@@ -526,7 +524,7 @@ def test_chi_R_plateau_and_support():
 
 
 def test_grad_chi_R_matches_fd():
-    c = CutoffPair(field_cr(1.0), R=math.e ** 2, eps=0.05)
+    c = CutoffPair(field_cr(1.0), R=math.e ** 2)
     r = math.exp(math.exp(0.4 + math.log(math.log(c.R))))
     x = r * np.array([0.6, -0.64, 0.48]) / np.linalg.norm([0.6, -0.64, 0.48])
     h = 1.0e-4 * r
@@ -545,7 +543,7 @@ def test_grad_chi_R_matches_fd():
 def test_cutoff_bound_and_halving():
     sups = []
     for R in (math.e ** 2, math.e ** 4, math.e ** 8):
-        sup, bound = cutoff_bound_check(CutoffPair(field_cr(1.0), R, 0.05))
+        sup, bound = cutoff_bound_check(CutoffPair(field_cr(1.0), R))
         assert sup <= bound
         sups.append(sup)
     assert sups[0] / sups[1] == pytest.approx(2.0, rel=0.25)
